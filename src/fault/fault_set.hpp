@@ -5,10 +5,17 @@
 // *marked* faulty (an A/B-category link error) from a link being *unusable*
 // (marked faulty, or either endpoint node faulty) — routing cares about the
 // latter, categorization (fault/categorize.hpp) about the former.
+//
+// Storage is dense and grows on demand to the highest id seen: one bit per
+// node id up to the highest faulty node, and one 32-bit dimension mask per
+// lower link endpoint up to the highest marked link's lower endpoint (bit c
+// of masks[lo] set iff link (lo, c) is marked). That is 1 bit + 4 B per id
+// up to the highest faulty id, and every query is at most three indexed
+// loads with no hashing. Ids above the grown size read as fault-free. The
+// insertion-ordered vectors carry the deterministic enumeration order.
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "util/bits.hpp"
@@ -31,11 +38,13 @@ struct LinkId {
 
 class FaultSet {
  public:
-  /// Marks node u faulty. Idempotent.
+  /// Marks node u faulty. Idempotent. Throws std::invalid_argument unless
+  /// u < 2^kMaxDimension (the dense bitmap is sized by the id).
   void fail_node(NodeId u);
 
   /// Marks the link in dimension c at node u faulty (either endpoint may be
-  /// given). Idempotent.
+  /// given). Idempotent. Throws std::invalid_argument unless
+  /// u < 2^kMaxDimension and c < kMaxDimension.
   void fail_link(NodeId u, Dim c);
 
   /// Clears node u's fault mark (a transient fault healed — the node
@@ -48,19 +57,21 @@ class FaultSet {
   /// stays unusable while either endpoint node is still faulty.
   bool repair_link(NodeId u, Dim c);
 
-  [[nodiscard]] bool node_faulty(NodeId u) const {
-    return faulty_nodes_set_.contains(u);
+  [[nodiscard]] bool node_faulty(NodeId u) const noexcept {
+    const std::size_t w = u >> 6;
+    return w < node_bits_.size() && ((node_bits_[w] >> (u & 63)) & 1u) != 0;
   }
 
   /// True iff the link itself carries a fault mark (independent of endpoint
-  /// node status).
-  [[nodiscard]] bool link_marked(NodeId u, Dim c) const {
-    return faulty_links_set_.contains(key(LinkId::of(u, c)));
+  /// node status). Precondition: c < 32.
+  [[nodiscard]] bool link_marked(NodeId u, Dim c) const noexcept {
+    const NodeId lo = LinkId::of(u, c).lo;
+    return lo < link_masks_.size() && ((link_masks_[lo] >> c) & 1u) != 0;
   }
 
   /// True iff a packet may traverse the link in dimension c from node u:
   /// the link is not marked faulty and neither endpoint node is faulty.
-  [[nodiscard]] bool link_usable(NodeId u, Dim c) const {
+  [[nodiscard]] bool link_usable(NodeId u, Dim c) const noexcept {
     return !link_marked(u, c) && !node_faulty(u) &&
            !node_faulty(flip_bit(u, c));
   }
@@ -103,14 +114,10 @@ class FaultSet {
   void clear();
 
  private:
-  [[nodiscard]] static std::uint64_t key(LinkId l) noexcept {
-    return (static_cast<std::uint64_t>(l.lo) << 6) | l.dim;
-  }
-
   std::vector<NodeId> faulty_nodes_;
   std::vector<LinkId> faulty_links_;
-  std::unordered_set<NodeId> faulty_nodes_set_;
-  std::unordered_set<std::uint64_t> faulty_links_set_;
+  std::vector<std::uint64_t> node_bits_;   // bit u: node u faulty
+  std::vector<std::uint32_t> link_masks_;  // [lo] bit c: link (lo, c) marked
   std::uint64_t version_ = 0;
   std::uint64_t generation_ = 0;
 };

@@ -1,9 +1,10 @@
 // Fault overlay: dense per-node link-usability masks over a FaultSet.
 //
-// The FaultSet answers link_usable(u, c) with up to three hash probes; the
-// simulator asks that question once per packet-hop. The overlay flattens
-// the answer into one 32-bit mask per node — bit c set iff the dimension-c
-// link exists at u AND is usable — refreshed incrementally from the
+// The FaultSet answers link_usable(u, c) with up to three loads from its
+// dense storage, without knowing whether the link exists; the simulator
+// asks once per packet-hop. The overlay flattens the answer into one 32-bit mask per
+// node — bit c set iff the dimension-c link exists at u AND is usable — so
+// a hop costs a single load. It is refreshed incrementally from the
 // FaultSet's insertion-ordered fault vectors whenever its version moves.
 // It also answers the sparse-patch question the next-hop fabric needs:
 // node_clean(u) is true iff u is farther than distance 1 from every faulty

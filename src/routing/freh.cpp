@@ -1,10 +1,9 @@
 #include "routing/freh.hpp"
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
 
 #include "routing/hypercube_ft.hpp"
+#include "routing/planner_scratch.hpp"
 #include "util/error.hpp"
 
 namespace gcube {
@@ -56,13 +55,10 @@ RoutingResult freh_route(const ExchangedHypercube& eh,
   // Spare masks per side (EH label bitmasks) — the paper's dimension masks.
   NodeId mask[2] = {0, 0};
   // Cross positions (label with c cleared) already used; never reused.
-  std::unordered_set<NodeId> used_cross;
-  std::unordered_set<std::uint64_t> faults_seen;
+  std::vector<NodeId> used_cross;
+  LinkTally faults_seen;
   auto note_fault = [&](NodeId u, Dim c) {
-    const LinkId l = LinkId::of(u, c);
-    if (faults_seen.insert((std::uint64_t{l.lo} << 6) | l.dim).second) {
-      ++st.faults_encountered;
-    }
+    if (faults_seen.insert(u, c)) ++st.faults_encountered;
   };
 
   const std::size_t budget =
@@ -119,7 +115,10 @@ RoutingResult freh_route(const ExchangedHypercube& eh,
 
     bool crossed = false;
     for (const NodeId cand : candidates) {
-      if (used_cross.contains(cand & ~NodeId{1})) continue;
+      if (std::find(used_cross.begin(), used_cross.end(),
+                    cand & ~NodeId{1}) != used_cross.end()) {
+        continue;
+      }
       if (oracle.node_faulty(cand) ||
           oracle.node_faulty(flip_bit(cand, 0)) ||
           !oracle.link_usable(cand, 0)) {
@@ -131,7 +130,7 @@ RoutingResult freh_route(const ExchangedHypercube& eh,
         mask[side] |= (cand ^ ideal);  // mask the displacement dimension
         ++st.spare_hops;
       }
-      used_cross.insert(cand & ~NodeId{1});
+      used_cross.push_back(cand & ~NodeId{1});
       route.append(0);
       cur = flip_bit(cur, 0);
       ++st.crossings;
@@ -160,33 +159,36 @@ RoutingResult informed_eh_route(const ExchangedHypercube& eh,
     return result;
   }
   // BFS from the destination over usable links (the post-initialization
-  // knowledge), then walk downhill from r.
-  std::unordered_map<NodeId, std::uint32_t> dist;
-  std::deque<NodeId> queue{d};
-  dist.emplace(d, 0);
+  // knowledge), then walk downhill from r. FIFO order, ascending
+  // dimensions; slots are EH labels, values distances to d.
+  BfsScratch dist(eh.node_count());
+  dist.visit(d, 0);
+  dist.push(d);
   const Dim dims = eh.dims();
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
+  while (!dist.empty()) {
+    const NodeId u = dist.pop();
+    const std::uint32_t next = dist.value(u) + 1;
     for (Dim c = 0; c < dims; ++c) {
       if (!eh.has_link(u, c) || !oracle.link_usable(u, c)) continue;
       const NodeId v = flip_bit(u, c);
-      if (dist.emplace(v, dist.at(u) + 1).second) queue.push_back(v);
+      if (dist.visited(v)) continue;
+      dist.visit(v, next);
+      dist.push(v);
     }
   }
-  if (!dist.contains(r)) {
+  if (!dist.visited(r)) {
     result.failure = "crossing structure disconnected under faults";
     return result;
   }
   Route route(r);
   NodeId cur = r;
   while (cur != d) {
-    const std::uint32_t here = dist.at(cur);
+    const std::uint32_t here = dist.value(cur);
     Dim chosen = kMaxDimension + 1;
     for (Dim c = 0; c < dims; ++c) {
       if (!eh.has_link(cur, c) || !oracle.link_usable(cur, c)) continue;
-      const auto it = dist.find(flip_bit(cur, c));
-      if (it != dist.end() && it->second == here - 1) {
+      const NodeId v = flip_bit(cur, c);
+      if (dist.visited(v) && dist.value(v) == here - 1) {
         chosen = c;
         break;
       }

@@ -58,7 +58,10 @@ struct FrehStats {
 /// the route commits to the right crossing positions up front instead of
 /// discovering dead ends mid-dance. This is what FTGCR uses for crossing
 /// legs; freh_route remains the paper's step-by-step mechanism and is
-/// compared against this one in bench/abl_ft_hypercube.
+/// compared against this one in bench/abl_ft_hypercube. The BFS is a FIFO
+/// over the thread's flat BfsScratch (routing/planner_scratch.hpp) with EH
+/// labels as slots (2^eh.dims() slots); the walk takes the lowest downhill
+/// dimension, so the route depends only on the inputs.
 [[nodiscard]] RoutingResult informed_eh_route(const ExchangedHypercube& eh,
                                               const EhFaultOracle& oracle,
                                               NodeId r, NodeId d,

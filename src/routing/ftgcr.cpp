@@ -1,13 +1,13 @@
 #include "routing/ftgcr.hpp"
 
+#include <algorithm>
 #include <array>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "routing/eh_embedding.hpp"
 #include "routing/freh.hpp"
 #include "routing/hypercube_ft.hpp"
+#include "routing/planner_scratch.hpp"
 #include "util/error.hpp"
 
 namespace gcube {
@@ -20,44 +20,39 @@ RoutingResult FtgcrRouter::plan(NodeId s, NodeId d) const {
   return plan_with_stats(s, d, stats);
 }
 
-namespace {
-
-/// Fault-aware BFS over the whole cube — the strategy's last-resort global
-/// re-plan. Returns the hop sequence from `start` to `dest`, or nothing.
+// Flat BFS: node ids are the scratch slots and each slot stores its
+// arrival dimension; a node's links come from the class link mask, so only
+// existing links are tested for usability.
 std::optional<std::vector<Dim>> global_bfs(const GaussianCube& gc,
                                            const FaultSet& faults,
                                            NodeId start, NodeId dest) {
   if (start == dest) return std::vector<Dim>{};
-  std::unordered_map<NodeId, std::pair<NodeId, Dim>> prev;
-  std::deque<NodeId> queue{start};
-  prev.emplace(start, std::make_pair(start, Dim{0}));
-  const Dim n = gc.dims();
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (Dim c = 0; c < n; ++c) {
-      if (!gc.has_link(u, c) || !faults.link_usable(u, c)) continue;
+  BfsScratch bfs(gc.node_count());
+  bfs.visit(start, 0);
+  bfs.push(start);
+  while (!bfs.empty()) {
+    const NodeId u = bfs.pop();
+    for (std::uint32_t m = gc.link_mask(u); m != 0; m &= m - 1) {
+      const Dim c = lsb_index(m);
+      if (!faults.link_usable(u, c)) continue;
       const NodeId v = flip_bit(u, c);
-      if (prev.contains(v)) continue;
-      prev.emplace(v, std::make_pair(u, c));
+      if (bfs.visited(v)) continue;
+      bfs.visit(v, c);
       if (v == dest) {
         std::vector<Dim> hops;
-        NodeId w = dest;
-        while (w != start) {
-          const auto& [from, dim] = prev.at(w);
-          hops.push_back(dim);
-          w = from;
+        for (NodeId w = dest; w != start;) {
+          const Dim arrival = bfs.value(w);
+          hops.push_back(arrival);
+          w = flip_bit(w, arrival);
         }
         std::reverse(hops.begin(), hops.end());
         return hops;
       }
-      queue.push_back(v);
+      bfs.push(v);
     }
   }
   return std::nullopt;
 }
-
-}  // namespace
 
 std::optional<Route> FtgcrRouter::fault_free_route_if_clean(
     NodeId s, NodeId d) const {

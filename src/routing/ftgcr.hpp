@@ -30,6 +30,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <vector>
 
 #include "fault/fault_set.hpp"
 #include "routing/ffgcr.hpp"
@@ -53,6 +55,16 @@ struct FtgcrStats {
   /// leaf-detour itineraries.
   std::size_t global_replans = 0;
 };
+
+/// FTGCR's last-resort global re-plan: a fault-aware breadth-first search
+/// over the whole cube. FIFO order with each node's links scanned in
+/// ascending dimension, so the returned path — the first shortest path
+/// discovered — depends on the fault set alone. Returns the hop sequence
+/// from `start` to `dest`, or nullopt when `dest` is unreachable over
+/// usable links.
+[[nodiscard]] std::optional<std::vector<Dim>> global_bfs(
+    const GaussianCube& gc, const FaultSet& faults, NodeId start,
+    NodeId dest);
 
 class FtgcrRouter final : public Router {
  public:

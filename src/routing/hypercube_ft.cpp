@@ -1,10 +1,8 @@
 #include "routing/hypercube_ft.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "routing/planner_scratch.hpp"
 #include "util/error.hpp"
 
 namespace gcube {
@@ -14,36 +12,37 @@ namespace {
 /// BFS within the subcube spanned by dims_mask, over usable links only.
 /// Returns the hop sequence or nothing if disconnected. This is the
 /// safeguard path of adaptive_subcube_route, not the normal mechanism.
+/// FIFO order, ascending dimensions; slots are in-cube coordinates
+/// (compact_bits), values arrival dimensions.
 std::optional<std::vector<Dim>> bfs_subcube(NodeId start, NodeId dest,
                                             NodeId dims_mask,
                                             const LinkUsablePredicate& usable) {
   if (start == dest) return std::vector<Dim>{};
-  std::unordered_map<NodeId, std::pair<NodeId, Dim>> prev;  // node -> (from, dim)
-  std::deque<NodeId> queue{start};
-  prev.emplace(start, std::make_pair(start, Dim{0}));
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    NodeId mask = dims_mask;
-    while (mask != 0) {
-      const Dim c = lsb_index(mask);
-      mask &= mask - 1;
+  BfsScratch bfs(pow2(popcount(dims_mask)));
+  bfs.visit(compact_bits(start, dims_mask), 0);
+  bfs.push(start);
+  while (!bfs.empty()) {
+    const NodeId u = bfs.pop();
+    const std::uint32_t slot_u = compact_bits(u, dims_mask);
+    Dim j = 0;  // rank of dimension c among dims_mask's bits
+    for (NodeId m = dims_mask; m != 0; m &= m - 1, ++j) {
+      const Dim c = lsb_index(m);
       if (!usable(u, c)) continue;
+      const std::uint32_t slot_v = slot_u ^ (std::uint32_t{1} << j);
+      if (bfs.visited(slot_v)) continue;
+      bfs.visit(slot_v, c);
       const NodeId v = flip_bit(u, c);
-      if (prev.contains(v)) continue;
-      prev.emplace(v, std::make_pair(u, c));
       if (v == dest) {
         std::vector<Dim> hops;
-        NodeId w = dest;
-        while (w != start) {
-          const auto& [from, dim] = prev.at(w);
-          hops.push_back(dim);
-          w = from;
+        for (NodeId w = dest; w != start;) {
+          const Dim arrival = bfs.value(compact_bits(w, dims_mask));
+          hops.push_back(arrival);
+          w = flip_bit(w, arrival);
         }
         std::reverse(hops.begin(), hops.end());
         return hops;
       }
-      queue.push_back(v);
+      bfs.push(v);
     }
   }
   return std::nullopt;
@@ -66,12 +65,9 @@ RoutingResult adaptive_subcube_route(NodeId start, NodeId dest,
   NodeId cur = start;
   NodeId masked = 0;  // spare dimensions already used (paper's mask)
   Dim last_dim = kMaxDimension + 1;  // no 180-degree turns (see below)
-  std::unordered_set<std::uint64_t> faults_seen;
+  LinkTally faults_seen;
   auto note_fault = [&](NodeId u, Dim c) {
-    const LinkId l = LinkId::of(u, c);
-    if (faults_seen.insert((std::uint64_t{l.lo} << 6) | l.dim).second) {
-      ++st.faults_encountered;
-    }
+    if (faults_seen.insert(u, c)) ++st.faults_encountered;
   };
 
   // Hop budget: optimal + two per possible detour. Exceeding it means the
@@ -194,47 +190,52 @@ RoutingResult informed_subcube_route(NodeId start, NodeId dest,
 
   // Fault-aware distances to the destination, learned by BFS over usable
   // links — the planner-side model of the paper's fault-status exchange
-  // rounds within a class.
-  std::unordered_map<NodeId, std::uint32_t> dist;
-  std::deque<NodeId> queue{dest};
-  dist.emplace(dest, 0);
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId m = dims_mask; m != 0; m &= m - 1) {
+  // rounds within a class. Slots are in-cube coordinates (compact_bits);
+  // bit j of a slot is the j-th dimension of dims_mask.
+  BfsScratch dist(pow2(popcount(dims_mask)));
+  dist.visit(compact_bits(dest, dims_mask), 0);
+  dist.push(dest);
+  while (!dist.empty()) {
+    const NodeId u = dist.pop();
+    const std::uint32_t slot_u = compact_bits(u, dims_mask);
+    const std::uint32_t next = dist.value(slot_u) + 1;
+    Dim j = 0;
+    for (NodeId m = dims_mask; m != 0; m &= m - 1, ++j) {
       const Dim c = lsb_index(m);
       if (!usable(u, c)) continue;
-      const NodeId v = flip_bit(u, c);
-      if (dist.emplace(v, dist.at(u) + 1).second) queue.push_back(v);
+      const std::uint32_t slot_v = slot_u ^ (std::uint32_t{1} << j);
+      if (dist.visited(slot_v)) continue;
+      dist.visit(slot_v, next);
+      dist.push(flip_bit(u, c));
     }
   }
-  const auto it_start = dist.find(start);
-  if (it_start == dist.end()) {
+  std::uint32_t slot_cur = compact_bits(start, dims_mask);
+  if (!dist.visited(slot_cur)) {
     result.failure = "subcube disconnected between start and destination";
     return result;
   }
 
-  std::unordered_set<std::uint64_t> faults_seen;
+  LinkTally faults_seen;
   Route route(start);
   NodeId cur = start;
   while (cur != dest) {
     Dim chosen = kMaxDimension + 1;
-    const std::uint32_t here = dist.at(cur);
-    for (NodeId m = dims_mask; m != 0; m &= m - 1) {
+    std::uint32_t chosen_slot = 0;
+    const std::uint32_t here = dist.value(slot_cur);
+    Dim j = 0;
+    for (NodeId m = dims_mask; m != 0; m &= m - 1, ++j) {
       const Dim c = lsb_index(m);
       if (!usable(cur, c)) {  // an encountered fault, for the stats
-        const LinkId l = LinkId::of(cur, c);
-        if (faults_seen.insert((std::uint64_t{l.lo} << 6) | l.dim).second) {
-          ++st.faults_encountered;
-        }
+        if (faults_seen.insert(cur, c)) ++st.faults_encountered;
         continue;
       }
-      const auto it = dist.find(flip_bit(cur, c));
-      if (it == dist.end() || it->second != here - 1) continue;
+      const std::uint32_t slot_v = slot_cur ^ (std::uint32_t{1} << j);
+      if (!dist.visited(slot_v) || dist.value(slot_v) != here - 1) continue;
       // Downhill neighbor; prefer a preferred dimension on ties.
       if (chosen > kMaxDimension || (bit(cur ^ dest, c) == 1 &&
                                      bit(cur ^ dest, chosen) == 0)) {
         chosen = c;
+        chosen_slot = slot_v;
       }
     }
     GCUBE_REQUIRE(chosen <= kMaxDimension,
@@ -242,6 +243,7 @@ RoutingResult informed_subcube_route(NodeId start, NodeId dest,
     if (bit(cur ^ dest, chosen) == 0) ++st.spare_hops;
     route.append(chosen);
     cur = flip_bit(cur, chosen);
+    slot_cur = chosen_slot;
   }
   result.faults_hit = st.faults_encountered;
   result.route = std::move(route);

@@ -62,7 +62,11 @@ struct SubcubeFtStats {
 /// within a class — §1 claim 4), then walk downhill. Produces the exact
 /// fault-aware shortest path, which is at most 2 hops longer per fault in
 /// the subcube; this is what FTGCR and FREH use for in-cube legs so the
-/// paper's optimal+2F guarantee holds.
+/// paper's optimal+2F guarantee holds. The BFS is a FIFO over the thread's
+/// flat BfsScratch (routing/planner_scratch.hpp), one slot per subcube node
+/// (2^popcount(dims_mask) slots); the walk takes the lowest downhill
+/// dimension, preferring one that moves toward dest. Both orders are fixed,
+/// so the route depends only on the inputs.
 [[nodiscard]] RoutingResult informed_subcube_route(
     NodeId start, NodeId dest, NodeId dims_mask,
     const LinkUsablePredicate& usable, SubcubeFtStats* stats = nullptr);

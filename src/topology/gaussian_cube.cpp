@@ -15,6 +15,12 @@ GaussianCube::GaussianCube(Dim n, std::uint64_t modulus) : n_(n) {
   for (Dim c = alpha_; c < n_; ++c) {
     high_dims_mask_[c & low_mask(alpha_)] |= NodeId{1} << c;
   }
+  link_mask_.assign(pow2(alpha_), 0);
+  for (NodeId k = 0; k < link_mask_.size(); ++k) {
+    for (Dim c = 0; c < n_; ++c) {
+      if (has_link(k, c)) link_mask_[k] |= std::uint32_t{1} << c;
+    }
+  }
 }
 
 std::string GaussianCube::name() const {

@@ -46,6 +46,13 @@ class GaussianCube final : public Topology {
   }
   [[nodiscard]] std::string name() const override;
 
+  /// Every dimension in which u has a link, as a bitmask (bit c set iff
+  /// has_link(u, c)). Link existence depends only on the low alpha bits, so
+  /// this is one lookup in a 2^alpha-entry table.
+  [[nodiscard]] std::uint32_t link_mask(NodeId u) const noexcept {
+    return link_mask_[low_bits(u, alpha_)];
+  }
+
   /// alpha = log2(M), clamped to n.
   [[nodiscard]] Dim alpha() const noexcept { return alpha_; }
   /// The (clamped) modulus M = 2^alpha.
@@ -104,6 +111,7 @@ class GaussianCube final : public Topology {
   Dim n_;
   Dim alpha_;
   std::vector<NodeId> high_dims_mask_;  // indexed by ending class
+  std::vector<std::uint32_t> link_mask_;  // indexed by ending class
 };
 
 }  // namespace gcube

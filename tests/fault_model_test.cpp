@@ -2,6 +2,8 @@
 // N(k)/t_k closed form, and the T(GC) tolerance bound (Figure 4).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "fault/categorize.hpp"
 #include "fault/fault_set.hpp"
 #include "fault/tolerance_bound.hpp"
@@ -47,6 +49,113 @@ TEST(FaultSet, ClearResets) {
   f.clear();
   EXPECT_TRUE(f.empty());
   EXPECT_TRUE(f.link_usable(0, 0));
+}
+
+TEST(FaultSet, LinkFailAndRepairThroughEitherEndpoint) {
+  FaultSet f;
+  f.fail_link(0b1101, 1);  // given by the upper endpoint
+  EXPECT_TRUE(f.link_marked(0b1111, 1));
+  EXPECT_FALSE(f.link_usable(0b1101, 1));
+  EXPECT_FALSE(f.link_marked(0b1101, 0));  // same node, other dimension
+  EXPECT_FALSE(f.link_marked(0b1101, 2));
+  EXPECT_TRUE(f.repair_link(0b1111, 1));  // repaired through the other end
+  EXPECT_FALSE(f.link_marked(0b1101, 1));
+  EXPECT_TRUE(f.link_usable(0b1111, 1));
+  EXPECT_EQ(f.link_fault_count(), 0u);
+  EXPECT_FALSE(f.repair_link(0b1101, 1));
+}
+
+TEST(FaultSet, IdempotentMutationsMoveVersionAndGenerationOnlyOnChange) {
+  FaultSet f;
+  f.fail_node(9);
+  f.fail_link(4, 3);
+  EXPECT_EQ(f.version(), 2u);
+  EXPECT_EQ(f.generation(), 0u);
+  f.fail_node(9);
+  f.fail_link(0b1100, 3);  // same link from its upper endpoint
+  EXPECT_EQ(f.version(), 2u);
+  EXPECT_EQ(f.node_fault_count(), 1u);
+  EXPECT_EQ(f.link_fault_count(), 1u);
+  EXPECT_FALSE(f.repair_node(8));     // never failed
+  EXPECT_FALSE(f.repair_link(4, 2));  // never marked
+  EXPECT_EQ(f.version(), 2u);
+  EXPECT_EQ(f.generation(), 0u);
+  EXPECT_TRUE(f.repair_node(9));
+  EXPECT_EQ(f.version(), 3u);
+  EXPECT_EQ(f.generation(), 1u);
+  EXPECT_FALSE(f.repair_node(9));
+  EXPECT_TRUE(f.repair_link(4, 3));
+  EXPECT_FALSE(f.repair_link(4, 3));
+  EXPECT_EQ(f.version(), 4u);
+  EXPECT_EQ(f.generation(), 2u);
+  EXPECT_TRUE(f.empty());
+  f.clear();  // nothing to discard
+  EXPECT_EQ(f.version(), 4u);
+  EXPECT_EQ(f.generation(), 2u);
+}
+
+TEST(FaultSet, QueriesBeyondTheGrownStorageReadFaultFree) {
+  FaultSet f;
+  f.fail_node(70);    // node bitmap grows to two words
+  f.fail_link(5, 2);  // link masks grow to lower endpoint 1
+  const NodeId far = (NodeId{1} << kMaxDimension) - 1;
+  EXPECT_FALSE(f.node_faulty(128));
+  EXPECT_FALSE(f.node_faulty(far));
+  EXPECT_FALSE(f.link_marked(far, 0));
+  EXPECT_FALSE(f.link_marked(1u << 20, 20));
+  EXPECT_TRUE(f.link_usable(far, kMaxDimension - 1));
+  EXPECT_FALSE(f.repair_node(far));
+  EXPECT_FALSE(f.repair_link(far, 3));
+  EXPECT_FALSE(f.repair_link(0, 31));  // beyond any dimension
+  EXPECT_TRUE(f.node_faulty(70));
+  EXPECT_TRUE(f.link_marked(1, 2));
+}
+
+TEST(FaultSet, ClearAndCopiesAnswerLikeTheOriginal) {
+  FaultSet f;
+  f.fail_node(3);
+  f.fail_node(200);
+  f.fail_link(17, 4);
+  f.fail_link(6, 0);
+  const FaultSet copy = f;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(copy.faulty_nodes(), f.faulty_nodes());
+  EXPECT_EQ(copy.faulty_links(), f.faulty_links());
+  EXPECT_EQ(copy.version(), f.version());
+  EXPECT_EQ(copy.generation(), f.generation());
+  for (NodeId u = 0; u < 512; ++u) {
+    EXPECT_EQ(copy.node_faulty(u), f.node_faulty(u)) << u;
+    for (Dim c = 0; c < 9; ++c) {
+      EXPECT_EQ(copy.link_usable(u, c), f.link_usable(u, c)) << u << "/" << c;
+    }
+  }
+  f.clear();
+  EXPECT_TRUE(f.empty());
+  EXPECT_FALSE(f.node_faulty(200));
+  EXPECT_FALSE(f.link_marked(17, 4));
+  EXPECT_TRUE(copy.node_faulty(200));  // the copy owns its storage
+  EXPECT_TRUE(copy.link_marked(1, 4));
+  f.fail_node(3);  // usable again after clear()
+  EXPECT_TRUE(f.node_faulty(3));
+  EXPECT_EQ(f.node_fault_count(), 1u);
+}
+
+TEST(FaultSet, RejectsIdsBeyondTheLabelSpace) {
+  FaultSet f;
+  const NodeId too_far = NodeId{1} << kMaxDimension;
+  EXPECT_THROW(f.fail_node(too_far), std::invalid_argument);
+  EXPECT_THROW(f.fail_node(~NodeId{0}), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(too_far, 0), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(0, kMaxDimension), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(0, kMaxDimension + 1), std::invalid_argument);
+  EXPECT_THROW(f.fail_link(0, 40), std::invalid_argument);
+  EXPECT_TRUE(f.empty());
+  EXPECT_EQ(f.version(), 0u);
+  // The top of the label space is fine: the last node, and the top
+  // dimension's link given by its upper endpoint (lower endpoint 0).
+  f.fail_node(too_far - 1);
+  f.fail_link(NodeId{1} << (kMaxDimension - 1), kMaxDimension - 1);
+  EXPECT_TRUE(f.node_faulty(too_far - 1));
+  EXPECT_TRUE(f.link_marked(0, kMaxDimension - 1));
 }
 
 TEST(LinkId, HiEndpoint) {

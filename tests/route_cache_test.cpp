@@ -9,8 +9,10 @@
 // bump, or any cache-key collision, breaks this.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "fault/fault_set.hpp"
@@ -210,6 +212,70 @@ TEST(RouteCacheTest, FtgcrRepeatedQueriesAreStableWithinVersion) {
       EXPECT_EQ(router.next_hop(s, d), hop);
     }
   }
+}
+
+TEST(RouteCacheTest, FtgcrConcurrentPlanningMatchesSerialPlans) {
+  // Four threads plan through one router on a fault set dense enough that
+  // plans take FREH crossings and global re-plans, so every thread runs
+  // the flat BFS searches on its own thread-local scratch while the others
+  // do too. Each answer must equal the serial plan of a separate router.
+  const GaussianCube gc(10, 4);
+  FaultSet faults;
+  Xoshiro256 rng(0xC0C0);
+  while (faults.node_fault_count() < 24) {
+    faults.fail_node(static_cast<NodeId>(rng.below(gc.node_count())));
+  }
+  while (faults.link_fault_count() < 8) {
+    const auto u = static_cast<NodeId>(rng.below(gc.node_count()));
+    const auto c = static_cast<Dim>(rng.below(gc.dims()));
+    if (gc.has_link(u, c)) faults.fail_link(u, c);
+  }
+  const auto pairs = sample_pairs(gc, faults, 600, 707);
+
+  const FtgcrRouter serial(gc, faults);
+  std::vector<RoutingResult> expected;
+  std::size_t global_replans = 0;
+  std::size_t freh_crossings = 0;
+  for (const auto& [s, d] : pairs) {
+    FtgcrStats stats;
+    expected.push_back(serial.plan_with_stats(s, d, stats));
+    global_replans += stats.global_replans;
+    freh_crossings += stats.freh_crossings;
+  }
+  ASSERT_GT(global_replans, 0u) << "fault set must force global re-plans";
+  ASSERT_GT(freh_crossings, 0u) << "fault set must force FREH crossings";
+
+  const FtgcrRouter shared(gc, faults);
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> mismatches{0};
+  std::atomic<std::size_t> checked{0};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Each thread starts at a different offset, so the same pairs are
+      // planned concurrently on different threads at different times.
+      for (std::size_t k = 0; k < pairs.size(); ++k) {
+        const std::size_t i = (k + t * pairs.size() / kThreads) % pairs.size();
+        const auto [s, d] = pairs[i];
+        const RoutingResult& want = expected[i];
+        const RoutingResult got = shared.plan(s, d);
+        const std::shared_ptr<const Route> cached = shared.plan_shared(s, d);
+        const std::optional<Dim> hop = shared.next_hop(s, d);
+        const bool same =
+            got.delivered() == want.delivered() &&
+            (cached != nullptr) == want.delivered() &&
+            (!want.delivered() ||
+             (got.route->hops() == want.route->hops() &&
+              cached->hops() == want.route->hops() &&
+              hop == want.route->hops().front()));
+        if (!same) mismatches.fetch_add(1);
+        checked.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(checked.load(), kThreads * pairs.size());
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

@@ -84,7 +84,11 @@ TEST_P(GcTheorem1Test, LocalRuleMatchesOriginalDefinition) {
       EXPECT_EQ(gc.has_link(u, c),
                 GaussianCube::has_link_original(n, modulus, u, c))
           << "n=" << n << " M=" << modulus << " u=" << u << " c=" << c;
+      // The class link-mask table answers the same question per node.
+      EXPECT_EQ(bit(gc.link_mask(u), c) == 1, gc.has_link(u, c))
+          << "n=" << n << " M=" << modulus << " u=" << u << " c=" << c;
     }
+    EXPECT_EQ(gc.link_mask(u) & ~low_mask(n), 0u) << "no links beyond n";
   }
 }
 

@@ -5,14 +5,15 @@
 // packet queues (current queue contents plus the pending mailbox arrivals,
 // pre-merged in the exact order the next phase A would drain them), the
 // parked retry/retransmit entries in wake order, the pending injection
-// fires as absolute (cycle, node) pairs, the directed-link epoch stamps,
-// the live fault set with the fault-schedule cursor, and the folded
-// SimMetrics. The counter RNG needs no stream state — every draw is a pure
-// function of (seed, node, cycle) — so RNG identity is just the seed plus
-// the resume cycle. Resuming from a checkpoint therefore reproduces the
-// uninterrupted run's metrics bit for bit, for ANY thread count, SIMD
-// level, or batch toggle on either side of the crash (the same contract
-// the live simulator already enforces across those knobs).
+// fires as absolute (cycle, node) pairs, the live fault set with the
+// fault-schedule cursor, and the folded SimMetrics. The counter RNG needs
+// no stream state — every draw is a pure function of (seed, node, cycle) —
+// so RNG identity is just the seed plus the resume cycle. Link reservation
+// needs no state either: it lives only inside one node's service of one
+// cycle. Resuming from a checkpoint therefore reproduces the uninterrupted
+// run's metrics bit for bit, for ANY thread count, SIMD level, or batch
+// toggle on either side of the crash (the same contract the live
+// simulator already enforces across those knobs).
 //
 // On-disk format (little-endian):
 //
@@ -43,7 +44,9 @@
 
 namespace gcube {
 
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+/// Version 2 dropped version 1's per-(node, dim) link stamp section; a
+/// version 1 file is refused in section "header".
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// A checkpoint load failure, carrying the name of the section that failed
 /// validation ("header" for magic/version problems, "config" for a resume
@@ -158,8 +161,6 @@ struct SimCheckpoint {
   std::vector<std::vector<CheckpointPacket>> queues;
   std::vector<CheckpointParked> parked;
   std::vector<CheckpointFire> fires;
-  /// Directed link epoch stamps, node-major (node_count * dims entries).
-  std::vector<std::uint32_t> link_stamps;
   /// Global metrics with every shard partial already folded in.
   SimMetrics metrics;
 };

@@ -136,7 +136,6 @@ void NetworkSim::configure_shards(unsigned shard_count) {
     begin = sh.end;
   }
   queues_.assign(nodes, {});
-  link_busy_.assign(nodes * topo_.dims(), 0);
   occ_.assign(config_.buffer_limit != 0 ? nodes : 0, 0);
   in_flight_ = 0;
   parked_.clear();
@@ -170,10 +169,9 @@ void NetworkSim::release_ref(unsigned w, PacketRef ref, unsigned parity) {
 
 std::size_t NetworkSim::discard_packets_at(NodeId u) {
   std::size_t lost = 0;
-  Ring<PacketRef>& queue = queues_[u];
-  while (!queue.empty()) {
-    const PacketRef ref = queue.front();
-    queue.pop_front();
+  NodeQueue& queue = queues_[u];
+  while (queue.size != 0) {
+    const PacketRef ref = queue_pop(queue);
     shards_[packet_ref_shard(ref)].pool.release(packet_ref_slot(ref));
     ++lost;
   }
@@ -347,7 +345,7 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
     }
     // Re-entry bypasses buffer_limit: the packet never left the network,
     // so blocking it here would leak it from the accounting.
-    queues_[pk.node].push_back(pk.ref);
+    queue_push(pk.node, pk.ref);
     if (active_set_) {
       Shard& sh = shards_[shard_of(pk.node)];
       sh.active.set(pk.node - sh.begin);
@@ -361,7 +359,7 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   SimMetrics& m = sh.metrics;
   if (measuring) ++m.generated;
   if (config_.buffer_limit != 0 &&
-      queues_[u].size() >= config_.buffer_limit) {
+      queues_[u].size >= config_.buffer_limit) {
     if (measuring) ++m.injections_blocked;
     return;
   }
@@ -396,7 +394,7 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   c.steer_next = 0;
   c.retry_attempts = 0;
   c.retransmits_used = 0;
-  queues_[u].push_back(make_packet_ref(w, slot));
+  queue_push(u, make_packet_ref(w, slot));
   if (active_set_) sh.active.set(u - sh.begin);
   ++sh.injected;
 }
@@ -457,13 +455,13 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     Ring<Arrival>& box = shards_[s].outbox[prev][w];
     const std::size_t arrivals = box.size();
     for (std::size_t i = 0; i < arrivals; ++i) {
-      // The destination rings are scattered across the queue table; stay a
-      // few arrivals ahead of the pushes.
+      // The destination records are scattered across the queue table;
+      // stay a few arrivals ahead of the pushes.
       if (i + kPrefetchAhead < arrivals) {
         prefetch_write(&queues_[box.at(i + kPrefetchAhead).node]);
       }
       const Arrival a = box.at(i);
-      queues_[a.node].push_back(a.ref);
+      queue_push(a.node, a.ref);
       if (active_set_) sh.active.set(a.node - sh.begin);
     }
     box.clear();
@@ -506,12 +504,12 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       // phase B retires emptied nodes itself, so no scan at all.)
       sh.active.for_each_set([&](std::uint64_t bit) {
         const NodeId u = sh.begin + static_cast<NodeId>(bit);
-        const std::size_t depth = queues_[u].size();
+        const std::uint32_t depth = queues_[u].size;
         if (depth == 0) {
           sh.active.clear(bit);
           occ_[u] = 0;
         } else {
-          occ_[u] = static_cast<std::uint32_t>(depth);
+          occ_[u] = depth;
         }
       });
     }
@@ -560,7 +558,7 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     if (config_.buffer_limit != 0) {
       // Publish committed occupancy for this cycle's backpressure checks.
       for (NodeId u = sh.begin; u < sh.end; ++u) {
-        occ_[u] = static_cast<std::uint32_t>(queues_[u].size());
+        occ_[u] = queues_[u].size;
       }
     }
   }
@@ -574,13 +572,23 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
                             bool& moved, bool clean, std::uint32_t hint) {
   Shard& sh = shards_[w];
   SimMetrics& m = sh.metrics;
-  const Dim n = dims_;
   const unsigned parity = static_cast<unsigned>(now & 1);
-  Ring<PacketRef>& queue = queues_[u];
+  NodeQueue& queue = queues_[u];
+  // One packet per directed link per cycle: bit c is set once this service
+  // has sent a packet along dimension c. u is served once per cycle and
+  // owns its outgoing links, so no state outlives the call.
+  static_assert(kMaxDimension <= 32, "link mask is one 32-bit word");
+  std::uint32_t links_used = 0;
   for (std::uint32_t served = 0;
-       served < config_.service_rate && !queue.empty(); ++served) {
-    const PacketRef ref = queue.front();
+       served < config_.service_rate && queue.size != 0; ++served) {
+    const PacketRef ref = queue.head;
     PacketHot& h = hot_of(ref);
+    // The packet behind this one is served next unless this one blocks:
+    // start loading its hot record now. (The batched harvest already
+    // prefetched the front packet's next link.)
+    if (queue.size > 1 && served + 1 < config_.service_rate) {
+      prefetch_read(&hot_of(next_of(ref)));
+    }
     // The batched pass precomputed the front packet's disposition; every
     // later packet of the queue takes the full decision tree.
     const std::uint32_t hd = served == 0 ? hint : kHintNone;
@@ -617,7 +625,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
         ++m.service_ops;
       }
       ++sh.removed;
-      queue.pop_front();
+      queue_pop(queue);
       release_ref(w, ref, parity);
       moved = true;
       continue;
@@ -627,7 +635,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     const auto drop_hop_limit = [&]() {
       if (measuring) ++m.dropped_hop_limit;
       ++sh.removed;
-      queue.pop_front();
+      queue_pop(queue);
       release_ref(w, ref, parity);
       moved = true;
     };
@@ -643,7 +651,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
         ++sh.removed;
         release_ref(w, ref, parity);
       }
-      queue.pop_front();
+      queue_pop(queue);
       moved = true;
     };
     Dim c;
@@ -727,18 +735,13 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
         c = *nh;
       }
     }
-    // Epoch-stamped link reservation: the directed link is free this cycle
-    // iff its stamp is older than now + 1 (stamps store now + 1 to keep 0
-    // free; 32-bit, see link_busy_). Every link written here starts at a
-    // node this shard owns.
-    std::uint32_t& stamp = link_busy_[static_cast<std::size_t>(u) * n + c];
-    const auto stamp_now = static_cast<std::uint32_t>(now + 1);
-    if (stamp == stamp_now) return;  // link busy: head-of-line blocking
+    const std::uint32_t link = std::uint32_t{1} << c;
+    if ((links_used & link) != 0) return;  // link busy: head-of-line blocking
     const NodeId v = flip_bit(u, c);
     if (config_.buffer_limit != 0 && occ_[v] >= config_.buffer_limit) {
       return;  // backpressure against start-of-cycle committed occupancy
     }
-    stamp = stamp_now;
+    links_used |= link;
     if (measuring) ++m.service_ops;
     if ((h.flags & (kPktSteered | kPktAdaptive)) != 0) {
       // Online-routed hop: only the audited sample records it (the audit
@@ -757,7 +760,7 @@ void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
     }
     ++h.hops;
     sh.outbox[parity][shard_of(v)].push_back({v, ref});
-    queue.pop_front();
+    queue_pop(queue);
     moved = true;
   }
 }
@@ -769,7 +772,8 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   // Pass 1 (read-only + stale-bit retirement): harvest the word's set bits
   // in ascending order and prefetch each front packet's 16-byte hot
   // record, so the classify pass walks warm cache lines instead of eating
-  // a dependent miss per node.
+  // a dependent miss per node. A deeper queue also gets its front's next
+  // link prefetched: serve_node follows it to the second packet.
   NodeId nodes[64];
   PacketRef refs[64];
   PacketHot* hotp[64];
@@ -778,18 +782,19 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
        bits &= bits - 1) {
     const auto b = static_cast<unsigned>(std::countr_zero(bits));
     const NodeId u = base + b;
-    const Ring<PacketRef>& q = queues_[u];
-    if (q.empty()) {
+    const NodeQueue& q = queues_[u];
+    if (q.size == 0) {
       // Finite-buffer mode leaves retirement to the phase-A maintenance
       // scan, so an empty-but-active node is normal there; with unbounded
       // buffers this is purely defensive.
       if (retire) sh.active.clear(u - sh.begin);
       continue;
     }
-    const PacketRef ref = q.front();
-    PacketHot* h =
-        &shards_[packet_ref_shard(ref)].pool.hot(packet_ref_slot(ref));
+    const PacketRef ref = q.head;
+    PacketPool& pool = shards_[packet_ref_shard(ref)].pool;
+    PacketHot* h = &pool.hot(packet_ref_slot(ref));
     prefetch_read(h);
+    if (q.size > 1) prefetch_read(&pool.next(packet_ref_slot(ref)));
     nodes[count] = u;
     refs[count] = ref;
     hotp[count] = h;
@@ -831,34 +836,28 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
   }
   if (nfast != 0) {
     fabric_->fault_free_hops(simd_, nfast, cur, dstv, hops);
-    for (unsigned i = 0; i < nfast; ++i) {
-      hints[fast_of[i]] = hops[i];
-      // The link-stamp store is the one remaining random access on the
-      // fast path (node_count * dims words); its address is known the
-      // moment the hop is — fetch it for write before the apply pass.
-      prefetch_write(
-          &link_busy_[static_cast<std::size_t>(cur[i]) * dims_ + hops[i]]);
-    }
+    for (unsigned i = 0; i < nfast; ++i) hints[fast_of[i]] = hops[i];
   }
   // Pass 3 (apply), strictly ascending node order: outbox push order is
   // the canonical order the determinism contract rests on. The read-only
   // passes above commute with these applies — within phase B, node
-  // services are mutually independent (per-(node, dim) link stamps, every
-  // handoff via the parity mailboxes), so each node's front packet and
-  // queue are exactly as the classify pass saw them.
+  // services are mutually independent (each service's link mask is its
+  // own, every handoff goes via the parity mailboxes), so each node's
+  // front packet and queue are exactly as the classify pass saw them.
   //
   // The dominant shape at simulated loads — a depth-1 queue whose single
   // packet either takes its precomputed hop or delivers — is applied
   // inline (the exact serve_node semantics for that shape: one service,
-  // then the queue is empty); everything else takes the full path.
+  // then the queue is empty); everything else takes the full path. The
+  // inline hop needs no link check: it is the first packet u sends this
+  // cycle.
   const unsigned parity = static_cast<unsigned>(now & 1);
-  const auto stamp_now = static_cast<std::uint32_t>(now + 1);
   SimMetrics& m = sh.metrics;
   for (unsigned i = 0; i < count; ++i) {
     const NodeId u = nodes[i];
     const std::uint32_t hint = hints[i];
-    Ring<PacketRef>& queue = queues_[u];
-    if (retire && hint != kHintNone && queue.size() == 1) {
+    NodeQueue& queue = queues_[u];
+    if (retire && hint != kHintNone && queue.size == 1) {
       const PacketRef ref = refs[i];
       PacketHot& h = *hotp[i];  // resolved once at harvest
       if (hint == kHintArrived) {
@@ -884,31 +883,26 @@ void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
           ++m.service_ops;
         }
         ++sh.removed;
-        queue.pop_front();
+        queue_pop(queue);
         release_ref(w, ref, parity);
         moved = true;
         sh.active.clear(u - sh.begin);
       } else {
         const Dim c = static_cast<Dim>(hint);
-        std::uint32_t& stamp =
-            link_busy_[static_cast<std::size_t>(u) * dims_ + c];
-        if (stamp != stamp_now) {  // else HOL-blocked: nothing served
-          stamp = stamp_now;
-          if (measuring) ++m.service_ops;
-          if (h.audited()) cold_of(ref).tail.push_back(c);
-          ++h.hops;
-          const NodeId v = flip_bit(u, c);
-          sh.outbox[parity][shard_of(v)].push_back({v, ref});
-          queue.pop_front();
-          moved = true;
-          sh.active.clear(u - sh.begin);
-        }
+        if (measuring) ++m.service_ops;
+        if (h.audited()) cold_of(ref).tail.push_back(c);
+        ++h.hops;
+        const NodeId v = flip_bit(u, c);
+        sh.outbox[parity][shard_of(v)].push_back({v, ref});
+        queue_pop(queue);
+        moved = true;
+        sh.active.clear(u - sh.begin);
       }
       continue;
     }
     serve_node(w, u, now, measuring, moved,
                ((clean >> (u - base)) & 1) != 0, hint);
-    if (retire && queue.empty()) sh.active.clear(u - sh.begin);
+    if (retire && queue.size == 0) sh.active.clear(u - sh.begin);
   }
 }
 
@@ -938,7 +932,7 @@ void NetworkSim::phase_forward(unsigned w, Cycle now, bool measuring) {
         const bool clean =
             steer_ && (no_faults_ || overlay_.node_clean(u));
         serve_node(w, u, now, measuring, moved, clean, kHintNone);
-        if (retire && queues_[u].empty()) sh.active.clear(bit);
+        if (retire && queues_[u].size == 0) sh.active.clear(bit);
       });
     }
   } else {
@@ -1355,10 +1349,12 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   // empty with the merge pre-applied.
   ck.queues.resize(node_count_);
   for (NodeId u = 0; u < node_count_; ++u) {
-    const Ring<PacketRef>& q = queues_[u];
-    ck.queues[u].reserve(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i) {
-      ck.queues[u].push_back(capture_packet(q.at(i)));
+    const NodeQueue& q = queues_[u];
+    ck.queues[u].reserve(q.size);
+    PacketRef ref = q.head;
+    for (std::uint32_t i = 0; i < q.size; ++i) {
+      ck.queues[u].push_back(capture_packet(ref));
+      if (i + 1 < q.size) ref = next_of(ref);
     }
   }
   const unsigned parity = static_cast<unsigned>(~next & 1);
@@ -1418,8 +1414,6 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
                 return a.node < b.node;
               });
   }
-
-  ck.link_stamps = link_busy_;
 
   // Fold every shard partial into the snapshot (commutative/associative
   // integer adds, same as the end-of-run reduction). The resumed run
@@ -1504,7 +1498,7 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   for (NodeId u = 0; u < node_count_; ++u) {
     const unsigned w = shard_of(u);
     for (const CheckpointPacket& p : ck.queues[u]) {
-      queues_[u].push_back(restore_packet(w, p, "packets"));
+      queue_push(u, restore_packet(w, p, "packets"));
       ++queued;
     }
     if (active_set_ && !ck.queues[u].empty()) {
@@ -1551,12 +1545,6 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
     throw CheckpointError("fires",
                           "fires recorded without active_set mode");
   }
-
-  if (ck.link_stamps.size() != link_busy_.size()) {
-    throw CheckpointError("links",
-                          "stamp table size != node_count * dims");
-  }
-  link_busy_ = ck.link_stamps;
 
   metrics_ = ck.metrics;
   in_flight_ = ck.in_flight;

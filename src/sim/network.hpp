@@ -51,11 +51,19 @@
 //     source-node order because shards are contiguous and ascending),
 //     injects new packets, and publishes its nodes' committed occupancy;
 //   phase B (forward): each worker serves its own queues. Every directed
-//     link is owned by its source node's shard, so link reservation
-//     stamps are written race-free; finite-buffer backpressure reads the
-//     phase-A occupancy snapshot; departures are handed to the
+//     link is owned by its source node's shard and a node is served once
+//     per cycle, so the one-packet-per-link rule is a mask of the
+//     dimensions the current service has used; finite-buffer backpressure
+//     reads the phase-A occupancy snapshot; departures are handed to the
 //     destination shard through per-(source shard, destination shard)
 //     mailbox rings.
+//
+// Per-node queues are intrusive FIFOs: a flat array of {head, tail, size}
+// records, with the packets chained through the pools' next lanes (see
+// sim/packet_pool.hpp). A phase-A push may write the next link of a packet
+// that lives in another shard's pool; that is race-free because only the
+// owner of node u's queue touches the links of the packets queued at u,
+// and pool lanes never move.
 //
 // Mailbox and release rings are parity double-buffered (phase B of cycle
 // N fills buffer N & 1, phase A of cycle N drains buffer ~N & 1) and the
@@ -108,8 +116,8 @@
 //    word — and then APPLIED strictly in ascending node order, because
 //    outbox push order is the canonical order the determinism contract
 //    rests on. Within phase B node services are mutually independent
-//    (per-(node, dim) link stamps; every handoff — intra-shard included —
-//    travels through the parity mailboxes), so the read-only
+//    (a service's link mask is local to it; every handoff — intra-shard
+//    included — travels through the parity mailboxes), so the read-only
 //    harvest/classify passes commute with the applies and the batched
 //    loop is BIT-IDENTICAL to the scalar scan for any thread count.
 //
@@ -346,7 +354,7 @@ class NetworkSim {
   void attach_schedule(FaultSet& faults, const FaultSchedule& schedule);
 
   /// Resolves the worker count and (re)builds all run state: shards with
-  /// balanced contiguous node ranges, empty queues, cleared link stamps.
+  /// balanced contiguous node ranges and empty queues.
   void configure_shards(unsigned shard_count);
   [[nodiscard]] unsigned shard_of(NodeId u) const noexcept;
   [[nodiscard]] PacketHot& hot_of(PacketRef ref) noexcept {
@@ -354,6 +362,42 @@ class NetworkSim {
   }
   [[nodiscard]] PacketCold& cold_of(PacketRef ref) noexcept {
     return shards_[packet_ref_shard(ref)].pool.cold(packet_ref_slot(ref));
+  }
+  [[nodiscard]] PacketRef& next_of(PacketRef ref) noexcept {
+    return shards_[packet_ref_shard(ref)].pool.next(packet_ref_slot(ref));
+  }
+
+  /// One node's FIFO input queue, intrusive through the pools' next lanes:
+  /// head and tail are kNoPacket exactly when size is 0.
+  struct NodeQueue {
+    PacketRef head = kNoPacket;
+    PacketRef tail = kNoPacket;
+    std::uint32_t size = 0;
+  };
+  static_assert(sizeof(NodeQueue) == 12, "queue records stay 12 bytes");
+  /// Appends `ref` to node u's queue. Writes the old tail's next link only
+  /// when the queue is non-empty. Owner of u only (or a serial point).
+  void queue_push(NodeId u, PacketRef ref) noexcept {
+    NodeQueue& q = queues_[u];
+    if (q.size == 0) {
+      q.head = ref;
+    } else {
+      next_of(q.tail) = ref;
+    }
+    q.tail = ref;
+    ++q.size;
+  }
+  /// Unlinks and returns the front of a non-empty queue. Reads the front's
+  /// next link only when another packet stays behind it.
+  PacketRef queue_pop(NodeQueue& q) noexcept {
+    const PacketRef ref = q.head;
+    if (--q.size == 0) {
+      q.head = kNoPacket;
+      q.tail = kNoPacket;
+    } else {
+      q.head = next_of(ref);
+    }
+    return ref;
   }
   /// Frees a packet slot from worker w's phase B of the cycle with parity
   /// `parity`: directly when w owns the slot's pool, via the released
@@ -429,8 +473,8 @@ class NetworkSim {
   /// `next`, in canonical shard-count-independent form: per-node
   /// effective queues (queue contents + pending mailbox arrivals in
   /// phase-A drain order), parked entries in wake order, pending fires as
-  /// absolute (cycle, node), link stamps, fault state, and the folded
-  /// metrics. See sim/checkpoint.hpp.
+  /// absolute (cycle, node), fault state, and the folded metrics. See
+  /// sim/checkpoint.hpp.
   [[nodiscard]] SimCheckpoint capture_checkpoint(Cycle next);
   /// Rebuilds run state from a loaded checkpoint (must run after
   /// configure_shards, before the overlay refresh and the cycle loop).
@@ -487,13 +531,7 @@ class NetworkSim {
   bool no_faults_ = false;
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;
-  std::vector<Ring<PacketRef>> queues_;  // per-node FIFO, owner-shard only
-  /// Directed link stamps, owner-shard only. 32-bit on purpose: stamps are
-  /// compared for equality against (now + 1) mod 2^32 and cleared at every
-  /// run() start, so they alias only past 2^32 cycles in ONE run — far
-  /// beyond any simulated window — and halving the array keeps more of the
-  /// per-hop working set in cache.
-  std::vector<std::uint32_t> link_busy_;
+  std::vector<NodeQueue> queues_;  // per-node FIFO, owner-shard only
   std::vector<std::uint32_t> occ_;  // phase-A occupancy snapshot
   SimMetrics metrics_;  // serial/global fields; shard partials absorbed in
   std::uint64_t in_flight_ = 0;

@@ -317,7 +317,7 @@ TEST(Checkpoint, EveryByteFlipIsRefusedWithASectionName) {
   ASSERT_GT(good.size(), 100u);
   const std::vector<std::string> sections = {
       "header", "trailer", "provenance", "config", "globals",
-      "faults", "packets", "parked",     "fires",  "links",   "metrics"};
+      "faults", "packets", "parked",     "fires",  "metrics"};
   for (std::size_t i = 0; i < good.size(); ++i) {
     std::vector<std::uint8_t> bad = good;
     bad[i] ^= 0x20;
@@ -351,6 +351,33 @@ TEST(Checkpoint, EveryByteFlipIsRefusedWithASectionName) {
   EXPECT_THROW((void)load_checkpoint(mutant), CheckpointError);
   remove_generations(path);
   remove_generations(mutant);
+}
+
+TEST(Checkpoint, FormatVersion1IsRefusedInTheHeader) {
+  // Version 1 carried a per-(node, dim) link stamp section that version 2
+  // dropped; an old file must be refused up front, naming its version,
+  // rather than misparsed section by section.
+  const std::string path = tmp_path("version");
+  const std::string old = tmp_path("version_v1");
+  remove_generations(path);
+  remove_generations(old);
+  (void)run_scenario(Scenario::kStatic, true, 1, path, 200);
+  std::vector<std::uint8_t> bytes = read_file(path);
+  ASSERT_GT(bytes.size(), 12u);
+  // The u32 version word follows the 8-byte magic, little-endian.
+  ASSERT_EQ(std::uint32_t{bytes[8]}, kCheckpointFormatVersion);
+  bytes[8] = 1;
+  write_file(old, bytes);
+  try {
+    (void)load_checkpoint(old);
+    FAIL() << "a version 1 checkpoint loaded";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.section(), "header");
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+  remove_generations(path);
+  remove_generations(old);
 }
 
 TEST(Checkpoint, Crc32MatchesTheIeeeReferenceVector) {

@@ -23,6 +23,11 @@
 // against the scalar threads=1 reference over the same axes — the
 // vectorized classify / fabric-lookup / counter-RNG kernels batch pure
 // integer functions, so every level must reproduce the metrics exactly.
+// The GoldenDigest cases pin absolute behaviour: fixed GC(10,4) cells
+// (deep queues, same-cycle link conflicts, a buffer limit, node faults,
+// retry recovery; steered and planned) must hash to committed digests at
+// threads 1 and 4, so a change to the queue or link-reservation layout
+// cannot move any metric.
 //
 // Cache counters (SimMetrics::plan_cache / hop_cache) are deliberately NOT
 // compared: the hit/miss split depends on which worker reaches a cold key
@@ -369,6 +374,167 @@ TEST(Determinism, SimdLevelsEqualScalarBernoulliScan) {
   spec.faulty_nodes = 5;
   spec.sim.active_set = false;
   expect_simd_invariant(spec, "GC(8,2) bernoulli scan");
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests: behaviour pinned by data, not by a second implementation.
+// Each cell's deterministic metrics hash to a committed constant at threads
+// 1 and 4, so a refactor of the queue or link-reservation layout has to
+// reproduce the exact trajectory. The digest is the FNV-1a hash perfbench
+// prints as metrics_digest (same fields, same order).
+// ---------------------------------------------------------------------------
+
+std::uint64_t metrics_digest(const SimMetrics& m) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const std::uint64_t v :
+       {m.measured_cycles, m.generated, m.delivered, m.carryover_delivered,
+        m.dropped, m.total_latency, m.total_hops, m.service_ops,
+        m.peak_in_flight, m.injections_blocked, m.stalled_cycles,
+        std::uint64_t{m.deadlocked}, m.fault_events, m.repairs_applied,
+        m.reroutes, m.dropped_no_route, m.dropped_hop_limit,
+        m.orphaned_by_node_fault, m.parked_retries, m.retransmits, m.gave_up,
+        m.in_flight_at_end}) {
+    mix(v);
+  }
+  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    mix(m.latency_histogram.bucket(i));
+  }
+  return h;
+}
+
+enum class GoldenCell {
+  kDeepQueue,
+  kLinkConflict,
+  kBuffer2,
+  kNodeFault,
+  kRetry,
+};
+
+const char* to_string(GoldenCell cell) {
+  switch (cell) {
+    case GoldenCell::kDeepQueue: return "deep-queue";
+    case GoldenCell::kLinkConflict: return "link-conflict";
+    case GoldenCell::kBuffer2: return "buffer-2";
+    case GoldenCell::kNodeFault: return "node-fault";
+    case GoldenCell::kRetry: return "retry";
+  }
+  return "?";
+}
+
+GcSimSpec golden_spec(GoldenCell cell, bool fabric) {
+  GcSimSpec spec = base_spec(10, 4);
+  spec.sim.fabric = fabric;
+  spec.sim.warmup_cycles = 20;
+  spec.sim.measure_cycles = 120;
+  const GaussianCube gc(spec.n, spec.modulus);
+  const NodeId nodes = static_cast<NodeId>(gc.node_count());
+  switch (cell) {
+    case GoldenCell::kDeepQueue:
+      // One service per node per cycle against ~2 arrivals: queues grow
+      // for the whole run.
+      spec.sim.injection_rate = 0.3;
+      spec.sim.service_rate = 1;
+      break;
+    case GoldenCell::kLinkConflict:
+      // Several services per cycle over deep queues: packets behind the
+      // front contend for a link the front already took this cycle.
+      spec.sim.injection_rate = 0.3;
+      break;
+    case GoldenCell::kBuffer2:
+      spec.sim.injection_rate = 0.03;
+      spec.sim.buffer_limit = 2;
+      break;
+    case GoldenCell::kNodeFault:
+      spec.sim.injection_rate = 0.2;
+      spec.schedule.fail_node_at(15, nodes / 3);
+      spec.schedule.fail_node_at(40, nodes / 2 + 5);
+      spec.schedule.fail_node_at(90, 2 * nodes / 3);
+      break;
+    case GoldenCell::kRetry:
+      spec.sim.injection_rate = 0.1;
+      // Two nodes cut off for 50 cycles: traffic to them strands and parks
+      // until the links heal.
+      for (const NodeId v : {nodes / 4, nodes / 2 + 3}) {
+        for (Dim c = 0; c < spec.n; ++c) {
+          if (gc.has_link(v, c)) spec.schedule.fail_link_at(25, v, c);
+        }
+        for (Dim c = 0; c < spec.n; ++c) {
+          if (gc.has_link(v, c)) spec.schedule.repair_link_at(75, v, c);
+        }
+      }
+      spec.sim.retry_limit = 4;
+      spec.sim.retry_backoff_base = 2;
+      spec.sim.retry_budget = 2;
+      break;
+  }
+  return spec;
+}
+
+void expect_golden(GoldenCell cell, bool fabric, std::uint64_t want) {
+  const std::string label = std::string(to_string(cell)) +
+                            (fabric ? " steered" : " planned");
+  GcSimSpec spec = golden_spec(cell, fabric);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    spec.sim.threads = threads;
+    const SimMetrics m = run_gc_simulation(spec).metrics;
+    const std::string at = label + " threads=" + std::to_string(threads);
+    EXPECT_EQ(metrics_digest(m), want)
+        << at << ": digest 0x" << std::hex << metrics_digest(m);
+    // Non-vacuity: each cell must actually reach the path it pins.
+    ASSERT_GT(m.delivered, 0u) << at;
+    if (cell == GoldenCell::kDeepQueue || cell == GoldenCell::kLinkConflict) {
+      const double queueing =
+          static_cast<double>(m.total_latency - m.total_hops) /
+          static_cast<double>(m.delivered);
+      EXPECT_GE(queueing, 1.0) << at << ": queues never got deep";
+    }
+    if (cell == GoldenCell::kBuffer2) {
+      EXPECT_GT(m.injections_blocked, 0u) << at;
+    }
+    if (cell == GoldenCell::kNodeFault) {
+      EXPECT_GT(m.orphaned_by_node_fault, 0u) << at;
+    }
+    if (cell == GoldenCell::kRetry) {
+      EXPECT_GT(m.parked_retries, 0u) << at;
+    }
+  }
+}
+
+TEST(GoldenDigest, DeepQueueSteered) {
+  expect_golden(GoldenCell::kDeepQueue, true, 0x369bb5481ea3154cULL);
+}
+TEST(GoldenDigest, DeepQueuePlanned) {
+  expect_golden(GoldenCell::kDeepQueue, false, 0x369bb5481ea3154cULL);
+}
+TEST(GoldenDigest, LinkConflictSteered) {
+  expect_golden(GoldenCell::kLinkConflict, true, 0x761d91ce8d86cdb3ULL);
+}
+TEST(GoldenDigest, LinkConflictPlanned) {
+  expect_golden(GoldenCell::kLinkConflict, false, 0x761d91ce8d86cdb3ULL);
+}
+TEST(GoldenDigest, Buffer2Steered) {
+  expect_golden(GoldenCell::kBuffer2, true, 0xfd71d086bf478269ULL);
+}
+TEST(GoldenDigest, Buffer2Planned) {
+  expect_golden(GoldenCell::kBuffer2, false, 0xfd71d086bf478269ULL);
+}
+TEST(GoldenDigest, NodeFaultSteered) {
+  expect_golden(GoldenCell::kNodeFault, true, 0x769a411eefea1b67ULL);
+}
+TEST(GoldenDigest, NodeFaultPlanned) {
+  expect_golden(GoldenCell::kNodeFault, false, 0x4d7e404784f3ca4cULL);
+}
+TEST(GoldenDigest, RetrySteered) {
+  expect_golden(GoldenCell::kRetry, true, 0x5112d6db4a98fdd0ULL);
+}
+TEST(GoldenDigest, RetryPlanned) {
+  expect_golden(GoldenCell::kRetry, false, 0x4cf29ecc332a007eULL);
 }
 
 TEST(Determinism, RepeatedRunsOfOneSimulatorAgree) {

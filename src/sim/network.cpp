@@ -32,6 +32,11 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                                                : 16 * topo.dims() + 64) {
   GCUBE_REQUIRE(config.service_rate >= 1, "service rate must be positive");
   GCUBE_REQUIRE(config.measure_cycles >= 1, "nothing to measure");
+  // Far-heap fire keys pack (cycle << kFireNodeBits) | node into 64 bits.
+  GCUBE_REQUIRE(config.warmup_cycles < kMaxCycles &&
+                    config.measure_cycles < kMaxCycles - config.warmup_cycles,
+                "warmup + measure cycles must stay below 2^38, the cycle "
+                "range of an injection fire key");
   GCUBE_REQUIRE(config.threads <= kMaxPoolShards,
                 "thread count exceeds the packet-reference shard space");
   GCUBE_REQUIRE(config.retry_limit <= 32,
@@ -380,14 +385,17 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   const PacketIndex slot = sh.pool.acquire();
   PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
-  const std::uint64_t id = now * node_count_ + u;  // unique, no shared ctr
+  const bool audited = (packet_id(now, u) & 63) == 0;
   h.dst = dst;
   h.hops = 0;
   h.plan_len = plan_len;
   h.flags = (steer_ ? kPktSteered : 0) |
             (planned != nullptr ? kPktHasPlan : 0) |
-            ((id & 63) == 0 ? kPktAudited : 0);
-  c.id = id;
+            (audited ? kPktAudited : 0);
+  // The audited sample's hop log is allocated here, by the slot's owner,
+  // and freed by release(); its pushes happen wherever the packet is
+  // served.
+  if (audited) c.tail.reserve(hop_log_reserve());
   c.src = u;
   c.created = now;
   c.plan = std::move(planned);
@@ -472,10 +480,17 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
   }
   if (active_set_) {
     // Event-driven injection: only nodes whose fire time is due do any
-    // work this cycle. Far-heap stragglers join the wheel bucket, which is
-    // then fired in ascending node order — the canonical injection order.
-    // Fires reschedule into later buckets (or the far heap), never the one
-    // being drained.
+    // work this cycle. Far-heap stragglers join the wheel bucket. Fires
+    // reschedule into later buckets (or the far heap), never the one being
+    // drained.
+    //
+    // The bucket is fired in whatever order it was filled: fires at
+    // distinct nodes commute. A node has at most one pending fire; its
+    // draws are keyed on (seed, node, cycle); and admit_packet touches
+    // only that node's queue, its active bit and the shard's own pool and
+    // counters. The one order-dependent outcome — which pool slot each
+    // packet gets — already differs across thread counts and never reaches
+    // the metrics.
     std::vector<NodeId>& bucket = sh.wheel[now & (kWheelSize - 1)];
     while (!sh.far_fires.empty() &&
            (sh.far_fires.top() >> kFireNodeBits) <= now) {
@@ -483,9 +498,12 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
                                            kFireNodeMask));
       sh.far_fires.pop();
     }
-    std::sort(bucket.begin(), bucket.end());
     // The per-(node, cycle) counter keys are a pure lane-parallel function
-    // of the sorted bucket; batch them, then fire in ascending node order.
+    // of the bucket; batch them, then fire. The loop is staged like the
+    // arrival drain: the queue record 2 * kPrefetchAhead fires ahead, the
+    // old tail's next link (written by the push when the queue is
+    // non-empty) kPrefetchAhead fires ahead, and the pool slot an admit
+    // that far ahead will initialize.
     const std::size_t due = bucket.size();
     std::uint64_t keys[64];
     for (std::size_t off = 0; off < due; off += 64) {
@@ -493,10 +511,27 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       counter_keys(simd_, config_.seed, now, bucket.data() + off, chunk,
                    keys);
       for (std::size_t j = 0; j < chunk; ++j) {
-        fire_injection(w, bucket[off + j], now, keys[j], measuring);
+        const std::size_t i = off + j;
+        if (i + 2 * kPrefetchAhead < due) {
+          prefetch_write(&queues_[bucket[i + 2 * kPrefetchAhead]]);
+        }
+        if (i + kPrefetchAhead < due) {
+          const NodeQueue& q = queues_[bucket[i + kPrefetchAhead]];
+          if (q.size != 0) prefetch_write(&next_of(q.tail));
+          const PacketIndex slot = sh.pool.upcoming_slot(kPrefetchAhead);
+          if (slot != PacketPool::kMaxSlots) {
+            prefetch_write(&sh.pool.hot(slot));
+            prefetch_write(&sh.pool.cold(slot));
+          }
+        }
+        fire_injection(w, bucket[i], now, keys[j], measuring);
       }
     }
-    bucket.clear();
+    // Release the bucket's buffer instead of clearing it: a cleared bucket
+    // keeps the capacity of its busiest cycle, and over a run every one of
+    // the kWheelSize buckets would grow to that peak. Released, the wheel
+    // holds at most one entry per node.
+    std::vector<NodeId>().swap(bucket);
     if (config_.buffer_limit != 0) {
       // Maintenance scan over live bits only: retire nodes whose queue
       // emptied last cycle, publish committed occupancy for the rest.
@@ -1220,7 +1255,7 @@ CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
   p.hops = h.hops;
   p.plan_len = h.plan_len;
   p.flags = h.flags;
-  p.id = c.id;
+  p.id = packet_id(c.created, c.src);
   p.src = c.src;
   p.created = c.created;
   p.steer_next = c.steer_next;
@@ -1249,6 +1284,12 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   constexpr std::uint32_t kKnownFlags =
       kPktSteered | kPktAdaptive | kPktHasPlan | kPktAudited;
   need((p.flags & ~kKnownFlags) == 0, "unknown packet flags");
+  // The id is not stored in the pool; it must be the one the packet's
+  // (created, src) derive, and the audit sample is a function of it.
+  need(p.created < total_cycles_ && p.id == packet_id(p.created, p.src),
+       "packet id is not created * node_count + src");
+  need(((p.flags & kPktAudited) != 0) == ((p.id & 63) == 0),
+       "audit flag disagrees with the packet id");
   const bool has_plan = (p.flags & kPktHasPlan) != 0;
   need(has_plan == !p.plan_hops.empty(),
        "plan flag inconsistent with recorded plan");
@@ -1282,7 +1323,6 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   h.hops = p.hops;
   h.plan_len = p.plan_len;
   h.flags = p.flags;
-  c.id = p.id;
   c.src = p.src;
   c.created = p.created;
   c.steer_next = p.steer_next;
@@ -1294,6 +1334,7 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
     // loops read, so metrics cannot tell the difference).
     c.plan = std::make_shared<const Route>(p.plan_src, p.plan_hops);
   }
+  if ((p.flags & kPktAudited) != 0) c.tail.reserve(hop_log_reserve());
   for (const Dim d : p.tail_hops) c.tail.push_back(d);
   return make_packet_ref(w, slot);
 }
@@ -1385,8 +1426,9 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
     // within (now, now + kWheelSize); whether an entry sat in the wheel
     // or the far heap is unobservable and re-derived at restore. The heap
     // has no iterator, so it is drained and re-pushed (serial point, and
-    // far fires are rare by construction). At most one fire per node
-    // exists, so sorting by node is a canonical total order.
+    // far fires are rare by construction). Bucket order is not state (a
+    // cycle's fires commute), and at most one fire per node exists, so
+    // sorting by node gives the file a canonical total order.
     const Cycle now = next - 1;
     const Cycle base = now & ~(kWheelSize - 1);
     for (Shard& sh : shards_) {
@@ -1534,6 +1576,11 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
       }
       if (f.at < ck.resume_cycle) {
         throw CheckpointError("fires", "fire due in the past");
+      }
+      // Every fire the simulator files is due before the run ends; a later
+      // one could also overflow the far heap's (cycle, node) key.
+      if (f.at >= total_cycles_) {
+        throw CheckpointError("fires", "fire due after the run ends");
       }
       Shard& sh = shards_[shard_of(f.node)];
       if (sh.armed[f.node - sh.begin] != 0) {

@@ -102,8 +102,9 @@
 //    bitmap of nodes holding or receiving packets plus a timing wheel of
 //    pending injection fire times drawn from TrafficModel::injection_gap,
 //    so a cycle costs O(active nodes + handoffs + due injections) instead
-//    of O(all nodes). Draws stay pure per-(node, cycle) functions and the
-//    bitmap scan is ascending, preserving the determinism contract; the
+//    of O(all nodes). Draws stay pure per-(node, cycle) functions, a
+//    cycle's fires commute (each touches only its own node's queue), and
+//    the bitmap scan is ascending, preserving the determinism contract; the
 //    gap-scheduled injection realization differs from the per-cycle
 //    Bernoulli scan (same distribution, different draw-stream layout), so
 //    metrics are comparable but not bit-equal across the toggle itself.
@@ -322,8 +323,10 @@ class NetworkSim {
     /// lies within kWheelSize cycles of now) with a far heap for the rare
     /// fire scheduled further out, keyed (cycle << kFireNodeBits) | node.
     /// At most one entry per node across both (a node reschedules only
-    /// when its fire is consumed); each cycle's due nodes are fired in
-    /// ascending node order — the canonical injection order.
+    /// when its fire is consumed), so the wheel's size is bounded by the
+    /// shard's node count: a drained bucket releases its buffer. A cycle's
+    /// due nodes fire in bucket order; fires at distinct nodes commute
+    /// (see phase_inject), so no order is canonical.
     std::vector<std::vector<NodeId>> wheel;
     std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
                         std::greater<>>
@@ -429,6 +432,18 @@ class NetworkSim {
   /// included); shared by the Bernoulli scan and the gap-scheduled path.
   void admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
                     bool measuring);
+  /// The id of the packet node `src` injects at cycle `created`: unique
+  /// without a shared counter, and not stored — PacketCold holds both
+  /// inputs. Keys the 1-in-64 audit sample.
+  [[nodiscard]] std::uint64_t packet_id(Cycle created,
+                                        NodeId src) const noexcept {
+    return created * node_count_ + src;
+  }
+  /// Initial hop-log capacity of an audited packet: room for a route
+  /// twice the cube's dimension before the log has to grow.
+  [[nodiscard]] std::uint32_t hop_log_reserve() const noexcept {
+    return 2 * static_cast<std::uint32_t>(dims_);
+  }
   /// Consumes a due injection fire at u: draws the destination, admits the
   /// packet, and reschedules from the gap distribution. `key` is
   /// counter_key(seed, u, now) — precomputed so the fire bucket can batch
@@ -460,6 +475,9 @@ class NetworkSim {
   static constexpr unsigned kFireNodeBits = kMaxDimension;
   static constexpr std::uint64_t kFireNodeMask =
       (std::uint64_t{1} << kFireNodeBits) - 1;
+  /// Runs are refused at construction unless warmup + measure < this, so
+  /// every fire key's cycle field fits.
+  static constexpr Cycle kMaxCycles = Cycle{1} << (64 - kFireNodeBits);
   /// Timing-wheel span: covers the mean gap up to injection rates around
   /// 1/kWheelSize; rarer-firing nodes overflow to the far heap.
   static constexpr std::uint64_t kWheelBits = 13;

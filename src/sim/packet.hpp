@@ -4,26 +4,29 @@
 // The cycle loop touches every in-flight packet once per hop, so the
 // fields it reads there are segregated into a 16-byte PacketHot record —
 // destination, hop cursor, planned-prefix length, and a flag byte — four
-// to a cache line in the pool's hot lane. Everything else (identity,
-// source, creation cycle, the shared route plan, retry/retransmit
-// counters, the audit hop tail) lives in a parallel PacketCold record
+// to a cache line in the pool's hot lane. Everything else (source,
+// creation cycle, the shared route plan, retry/retransmit counters, the
+// audit hop log) lives in a parallel one-cache-line PacketCold record
 // touched only at injection, near faults (plan adoption / adaptive
 // re-planning), on the audited delivery-replay sample, and at delivery
-// accounting — never on the steered fault-free fast path.
+// accounting — never on the steered fault-free fast path. A packet's id is
+// not stored: it is created · node_count + src, unique without a shared
+// counter, and derived where it is needed (the audit flag, checkpoints).
 //
 // A packet no longer owns its source route: PacketCold::plan holds shared
 // ownership of an immutable Route produced by the router's plan cache, so
 // injection is a refcount bump instead of a hop-vector copy. A packet that
 // goes adaptive (its precomputed next link died mid-flight) stops
 // consuming the plan and — when it is in the audit sample — records each
-// online hop in a small inline tail buffer, spilling to the heap only past
-// kInlineHops (deep detours under dense dynamic faults). The recorded path
-// is plan[0, plan_len) ++ tail, which the simulator replays at delivery as
-// a safety check on the deterministic 1-in-64 audited sample; non-audited
-// packets keep only the hop COUNT (PacketHot::hops), eliminating a
-// per-hop store plus potential heap spill from the common case.
+// online hop in a heap-only byte log, reserved at injection and freed at
+// release. The recorded path is plan[0, plan_len) ++ tail, which the
+// simulator replays at delivery as a safety check on the deterministic
+// 1-in-64 audited sample; non-audited packets keep only the hop COUNT
+// (PacketHot::hops) and an empty log handle, so the common case pays no
+// per-hop store and no allocation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -34,47 +37,49 @@ namespace gcube {
 
 using Cycle = std::uint64_t;
 
-/// Append-only hop sequence with inline storage for the common shallow
-/// case. clear() keeps any heap spill capacity, so a pooled packet that
-/// detoured deeply once never reallocates again.
-class HopTail {
+/// Append-only log of an audited packet's online hops, one byte per hop.
+/// Heap-only: an empty log is a null handle, the state of every packet
+/// outside the audit sample. reserve() sizes it once at injection; a push
+/// past the reservation (a deep detour under dense dynamic faults) doubles
+/// it. clear() keeps the buffer; release() frees it.
+class HopLog {
  public:
-  static constexpr std::uint32_t kInlineHops = 12;
+  static_assert(kMaxDimension <= UINT8_MAX,
+                "the hop log stores one dimension per byte");
 
+  void reserve(std::uint32_t capacity) {
+    if (capacity > capacity_) regrow(capacity);
+  }
   void push_back(Dim c) {
-    if (size_ < kInlineHops) {
-      inline_[size_++] = c;
-      return;
-    }
-    const std::uint32_t spilled = size_ - kInlineHops;
-    if (spilled == heap_capacity_) {
-      const std::uint32_t grown = heap_capacity_ == 0 ? kInlineHops
-                                                      : 2 * heap_capacity_;
-      auto bigger = std::make_unique<Dim[]>(grown);
-      for (std::uint32_t i = 0; i < spilled; ++i) bigger[i] = heap_[i];
-      heap_ = std::move(bigger);
-      heap_capacity_ = grown;
-    }
-    heap_[spilled] = c;
-    ++size_;
+    if (size_ == capacity_) regrow(capacity_ == 0 ? 16 : 2 * capacity_);
+    hops_[size_++] = static_cast<std::uint8_t>(c);
   }
-
-  [[nodiscard]] Dim operator[](std::uint32_t i) const {
-    return i < kInlineHops ? inline_[i] : heap_[i - kInlineHops];
-  }
+  [[nodiscard]] Dim operator[](std::uint32_t i) const { return hops_[i]; }
   [[nodiscard]] std::uint32_t size() const noexcept { return size_; }
   void clear() noexcept { size_ = 0; }
+  void release() noexcept {
+    hops_.reset();
+    size_ = 0;
+    capacity_ = 0;
+  }
 
  private:
+  void regrow(std::uint32_t capacity) {
+    auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+    std::copy_n(hops_.get(), size_, bigger.get());
+    hops_ = std::move(bigger);
+    capacity_ = capacity;
+  }
+
+  std::unique_ptr<std::uint8_t[]> hops_;
   std::uint32_t size_ = 0;
-  std::uint32_t heap_capacity_ = 0;
-  Dim inline_[kInlineHops] = {};
-  std::unique_ptr<Dim[]> heap_;
+  std::uint32_t capacity_ = 0;
 };
 
 // PacketHot::flags bits. kPktHasPlan mirrors PacketCold::plan != nullptr so
 // the fast path can rule out an adopted plan without touching the cold
-// record; kPktAudited precomputes (id & 63) == 0 for the same reason.
+// record; kPktAudited precomputes (id & 63) == 0 for the same reason, and
+// marks the cold record as owning a hop log.
 inline constexpr std::uint32_t kPktSteered = 1u << 0;
 inline constexpr std::uint32_t kPktAdaptive = 1u << 1;
 inline constexpr std::uint32_t kPktHasPlan = 1u << 2;
@@ -117,18 +122,18 @@ static_assert(sizeof(PacketHot) == 16, "hot lane record must stay 16 bytes");
 
 /// Everything else: touched at injection, delivery, fault adjacency, and
 /// on the audited sample — off the per-hop fast path by construction.
-struct PacketCold {
-  std::uint64_t id = 0;
+/// Exactly one cache line, aligned to one.
+struct alignas(64) PacketCold {
   NodeId src = 0;
+  /// Cursor into an adopted plan (steered packets only); adopted hops are
+  /// NOT part of plan_len — they land in `tail`.
+  std::uint32_t steer_next = 0;
   Cycle created = 0;
   /// Source route: the cached immutable plan computed at injection (the
   /// paper's O(n) header), shared with the router's plan cache and any
   /// other packet on the same (src, dst) pair — or a plan adopted
   /// mid-flight at a fault-adjacent node by a steered packet.
   std::shared_ptr<const Route> plan;
-  /// Cursor into an adopted plan (steered packets only); adopted hops are
-  /// NOT part of plan_len — they land in `tail`.
-  std::uint32_t steer_next = 0;
   /// Transient-fault recovery state (SimConfig::retry_limit /
   /// retry_budget). How many times this packet has been parked in a retry
   /// queue since its last (re)launch, and how many end-to-end source
@@ -136,8 +141,9 @@ struct PacketCold {
   std::uint16_t retry_attempts = 0;
   std::uint16_t retransmits_used = 0;
   /// Audited packets only: every online (steered or adaptive) hop taken.
-  HopTail tail;
+  HopLog tail;
 };
+static_assert(sizeof(PacketCold) == 64, "cold lane record is one cache line");
 
 /// The i-th hop of an audited packet's recorded path (i < hot.hops, or
 /// i < plan_len for the not-yet-traversed planned suffix).

@@ -5,16 +5,17 @@
 // themselves are chained through a 4-byte `next` lane of the pool.
 // Forwarding a packet relinks one 32-bit reference, no node owns a heap
 // object, and once the pools have grown to the run's working set the cycle
-// loop allocates nothing: released slots keep their tail capacity, and
-// plans are shared with the router's cache.
+// loop allocates nothing on the fast path: plans are shared with the
+// router's cache, and only the 1-in-64 audited packets own a small hop log,
+// allocated at injection and freed at release.
 //
 // Storage is structure-of-arrays at the slot level: every slot index i
-// names a 16-byte PacketHot record in the hot lane, a PacketCold record in
-// the cold lane AND a queue link in the next lane. The cycle loop's per-hop
-// pass touches only hot(i) and, for queues deeper than one, next(i) — at
-// GC(10,4)'s steady state a few hundred in-flight packets fit in a few KB
-// of L1 — while cold(i) is dereferenced only at injection, delivery, fault
-// adjacency, and on the audited sample.
+// names a 16-byte PacketHot record in the hot lane, a 64-byte PacketCold
+// record in the cold lane AND a 4-byte queue link in the next lane. The
+// cycle loop's per-hop pass touches only hot(i) and, for queues deeper
+// than one, next(i) — at GC(10,4)'s steady state a few hundred in-flight
+// packets fit in a few KB of L1 — while cold(i) is dereferenced only at
+// injection, delivery, fault adjacency, and on the audited sample.
 //
 // The node-sharded simulator keeps one pool per shard (each thread
 // allocates from its own slabs) and tags every reference with its owning
@@ -120,17 +121,28 @@ class PacketPool {
     return i;
   }
 
+  /// The slot the acquire() `ahead` calls from now will hand out if no
+  /// release() comes between, or kMaxSlots when that slot's chunk is not
+  /// allocated yet. Lets the injection loop prefetch the records it is
+  /// about to initialize.
+  [[nodiscard]] PacketIndex upcoming_slot(std::size_t ahead) const noexcept {
+    if (ahead < free_.size()) return free_[free_.size() - 1 - ahead];
+    const std::size_t fresh = size_ + (ahead - free_.size());
+    const std::size_t allocated =
+        (std::size_t{size_} + kChunkSize - 1) & ~std::size_t{kChunkSize - 1};
+    return fresh < allocated ? static_cast<PacketIndex>(fresh) : kMaxSlots;
+  }
+
   /// Returns a slot to the free list. Deliberately minimal: the cold
   /// record is touched only when the flag word says it holds a plan
-  /// refcount or recorded tail hops — a delivered fast-path steered packet
-  /// releases with a single hot-lane store. Tail spill capacity survives
-  /// for the next tenant. Owner thread only.
+  /// refcount or a hop log — a delivered fast-path steered packet releases
+  /// with a single hot-lane store. Owner thread only.
   void release(PacketIndex i) {
     PacketHot& h = hot(i);
     if ((h.flags & (kPktHasPlan | kPktAudited)) != 0) {
       PacketCold& c = cold(i);
       c.plan.reset();
-      c.tail.clear();
+      c.tail.release();
     }
     h.flags = 0;
     free_.push_back(i);

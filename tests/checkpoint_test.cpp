@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -351,6 +353,98 @@ TEST(Checkpoint, EveryByteFlipIsRefusedWithASectionName) {
   EXPECT_THROW((void)load_checkpoint(mutant), CheckpointError);
   remove_generations(path);
   remove_generations(mutant);
+}
+
+// ---------------------------------------------------------------------------
+// Semantic validation: a file whose CRCs are all good but whose content the
+// simulator cannot have written (a crafted or hand-edited checkpoint) must
+// be refused at resume, naming the section. Each case loads a real
+// checkpoint, mutates one field, saves it afresh and resumes from it.
+// ---------------------------------------------------------------------------
+
+void expect_resume_refused(const std::string& good,
+                           const std::function<void(SimCheckpoint&)>& mutate,
+                           const std::string& section,
+                           const std::string& detail) {
+  const std::string mutant = tmp_path("semantic_mutant");
+  remove_generations(mutant);
+  SimCheckpoint ck = load_checkpoint(good);
+  mutate(ck);
+  save_checkpoint(ck, mutant);
+  try {
+    (void)run_scenario(Scenario::kScheduled, true, 2, "", 0, mutant);
+    FAIL() << "resume accepted a checkpoint with " << detail;
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.section(), section) << e.what();
+    EXPECT_NE(std::string(e.what()).find(detail), std::string::npos)
+        << e.what();
+  }
+  remove_generations(mutant);
+}
+
+/// The first queued packet whose audit-sample membership is `audited`.
+CheckpointPacket& first_packet(SimCheckpoint& ck, bool audited) {
+  for (auto& queue : ck.queues) {
+    for (CheckpointPacket& p : queue) {
+      if (((p.flags & kPktAudited) != 0) == audited) return p;
+    }
+  }
+  throw std::logic_error("no such packet in the checkpoint");
+}
+
+TEST(Checkpoint, ForgedPacketIdOrAuditFlagIsRefused) {
+  const std::string path = tmp_path("semantic_packets");
+  remove_generations(path);
+  (void)run_scenario(Scenario::kScheduled, true, 1, path, 300);
+  {
+    // The unmodified file resumes: the cases below fail for their edit.
+    const SimCheckpoint ck = load_checkpoint(path);
+    std::size_t audited = 0;
+    for (const auto& queue : ck.queues) {
+      for (const CheckpointPacket& p : queue) {
+        EXPECT_EQ(p.id, p.created * ck.config.node_count + p.src);
+        audited += (p.flags & kPktAudited) != 0 ? 1 : 0;
+      }
+    }
+    ASSERT_GT(audited, 0u);
+    (void)run_scenario(Scenario::kScheduled, true, 2, "", 0, path);
+  }
+  expect_resume_refused(
+      path, [](SimCheckpoint& ck) { ++first_packet(ck, false).id; },
+      "packets", "packet id");
+  expect_resume_refused(
+      path,
+      [](SimCheckpoint& ck) { first_packet(ck, false).flags |= kPktAudited; },
+      "packets", "audit flag");
+  expect_resume_refused(
+      path,
+      [](SimCheckpoint& ck) {
+        CheckpointPacket& p = first_packet(ck, true);
+        p.flags &= ~kPktAudited;
+        p.tail_hops.clear();
+      },
+      "packets", "audit flag");
+  remove_generations(path);
+}
+
+TEST(Checkpoint, FireAtOrPastTheRunEndIsRefused) {
+  const std::string path = tmp_path("semantic_fires");
+  remove_generations(path);
+  (void)run_scenario(Scenario::kScheduled, true, 1, path, 300);
+  const Cycle run_end =
+      base_config().warmup_cycles + base_config().measure_cycles;
+  // run_end itself, and a cycle past 2^38 whose far-heap key
+  // (cycle << 26) | node would wrap to a cycle inside the run.
+  for (const Cycle at : {run_end, (Cycle{1} << 38) + 400}) {
+    expect_resume_refused(
+        path,
+        [at](SimCheckpoint& ck) {
+          ASSERT_FALSE(ck.fires.empty());
+          ck.fires.front().at = at;
+        },
+        "fires", "after the run ends");
+  }
+  remove_generations(path);
 }
 
 TEST(Checkpoint, FormatVersion1IsRefusedInTheHeader) {

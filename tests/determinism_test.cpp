@@ -25,9 +25,10 @@
 // integer functions, so every level must reproduce the metrics exactly.
 // The GoldenDigest cases pin absolute behaviour: fixed GC(10,4) cells
 // (deep queues, same-cycle link conflicts, a buffer limit, node faults,
-// retry recovery; steered and planned) must hash to committed digests at
-// threads 1 and 4, so a change to the queue or link-reservation layout
-// cannot move any metric.
+// retry recovery, static faults, and a low-rate run over two laps of the
+// injection fire wheel; steered and planned) must hash to committed
+// digests at threads 1 and 4, so a change to the queue, link-reservation
+// or injection-wheel layout cannot move any metric.
 //
 // Cache counters (SimMetrics::plan_cache / hop_cache) are deliberately NOT
 // compared: the hit/miss split depends on which worker reaches a cold key
@@ -379,9 +380,9 @@ TEST(Determinism, SimdLevelsEqualScalarBernoulliScan) {
 // ---------------------------------------------------------------------------
 // Golden digests: behaviour pinned by data, not by a second implementation.
 // Each cell's deterministic metrics hash to a committed constant at threads
-// 1 and 4, so a refactor of the queue or link-reservation layout has to
-// reproduce the exact trajectory. The digest is the FNV-1a hash perfbench
-// prints as metrics_digest (same fields, same order).
+// 1 and 4, so a refactor of the queue, link-reservation or injection-wheel
+// layout has to reproduce the exact trajectory. The digest is the FNV-1a
+// hash perfbench prints as metrics_digest (same fields, same order).
 // ---------------------------------------------------------------------------
 
 std::uint64_t metrics_digest(const SimMetrics& m) {
@@ -414,6 +415,8 @@ enum class GoldenCell {
   kBuffer2,
   kNodeFault,
   kRetry,
+  kStaticFaults,
+  kLongHorizon,
 };
 
 const char* to_string(GoldenCell cell) {
@@ -423,6 +426,8 @@ const char* to_string(GoldenCell cell) {
     case GoldenCell::kBuffer2: return "buffer-2";
     case GoldenCell::kNodeFault: return "node-fault";
     case GoldenCell::kRetry: return "retry";
+    case GoldenCell::kStaticFaults: return "static-faults";
+    case GoldenCell::kLongHorizon: return "long-horizon";
   }
   return "?";
 }
@@ -472,6 +477,24 @@ GcSimSpec golden_spec(GoldenCell cell, bool fabric) {
       spec.sim.retry_backoff_base = 2;
       spec.sim.retry_budget = 2;
       break;
+    case GoldenCell::kStaticFaults:
+      // Precondition-checked faults fixed before cycle 0: steered packets
+      // adopt router plans at fault-adjacent nodes, planned ones route
+      // around the faults from injection.
+      spec.faulty_nodes = 8;
+      spec.sim.injection_rate = 0.1;
+      break;
+    case GoldenCell::kLongHorizon:
+      // More than two laps of the injection fire wheel (kWheelSize = 8192
+      // cycles) at a rate where gaps outrun it: P(gap >= 8192) =
+      // (1 - 0.0002)^8192 ~ 0.19, so ~200 of the 1024 nodes file their
+      // first fire in the far heap, and later draws keep feeding it. The
+      // cell pins wheel wrap-around and far-heap stragglers joining a
+      // bucket that already holds wheel fires.
+      spec.sim.injection_rate = 0.0002;
+      spec.sim.warmup_cycles = 200;
+      spec.sim.measure_cycles = 16600;
+      break;
   }
   return spec;
 }
@@ -482,7 +505,8 @@ void expect_golden(GoldenCell cell, bool fabric, std::uint64_t want) {
   GcSimSpec spec = golden_spec(cell, fabric);
   for (const std::uint32_t threads : {1u, 4u}) {
     spec.sim.threads = threads;
-    const SimMetrics m = run_gc_simulation(spec).metrics;
+    const GcSimOutcome outcome = run_gc_simulation(spec);
+    const SimMetrics& m = outcome.metrics;
     const std::string at = label + " threads=" + std::to_string(threads);
     EXPECT_EQ(metrics_digest(m), want)
         << at << ": digest 0x" << std::hex << metrics_digest(m);
@@ -502,6 +526,13 @@ void expect_golden(GoldenCell cell, bool fabric, std::uint64_t want) {
     }
     if (cell == GoldenCell::kRetry) {
       EXPECT_GT(m.parked_retries, 0u) << at;
+    }
+    if (cell == GoldenCell::kStaticFaults) {
+      EXPECT_EQ(outcome.faults_injected, spec.faulty_nodes) << at;
+    }
+    if (cell == GoldenCell::kLongHorizon) {
+      EXPECT_GE(spec.sim.warmup_cycles + spec.sim.measure_cycles, 2 * 8192u)
+          << at;
     }
   }
 }
@@ -535,6 +566,18 @@ TEST(GoldenDigest, RetrySteered) {
 }
 TEST(GoldenDigest, RetryPlanned) {
   expect_golden(GoldenCell::kRetry, false, 0x4cf29ecc332a007eULL);
+}
+TEST(GoldenDigest, StaticFaultsSteered) {
+  expect_golden(GoldenCell::kStaticFaults, true, 0x7cb1a0b57e238c3eULL);
+}
+TEST(GoldenDigest, StaticFaultsPlanned) {
+  expect_golden(GoldenCell::kStaticFaults, false, 0x988214a5ee674e98ULL);
+}
+TEST(GoldenDigest, LongHorizonSteered) {
+  expect_golden(GoldenCell::kLongHorizon, true, 0x7a300ed0efa3322cULL);
+}
+TEST(GoldenDigest, LongHorizonPlanned) {
+  expect_golden(GoldenCell::kLongHorizon, false, 0x7a300ed0efa3322cULL);
 }
 
 TEST(Determinism, RepeatedRunsOfOneSimulatorAgree) {

@@ -4,6 +4,10 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "fault/fault_set.hpp"
@@ -13,6 +17,7 @@
 #include "sim/fault_schedule.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
+#include "sim/packet.hpp"
 #include "sim/runner.hpp"
 #include "sim/sweep.hpp"
 #include "sim/traffic.hpp"
@@ -21,6 +26,55 @@
 
 namespace gcube {
 namespace {
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define GCUBE_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define GCUBE_TEST_SANITIZED 1
+#endif
+#endif
+
+/// This process's peak resident set in bytes (VmHWM in /proc/self/status),
+/// or 0 where the field does not exist. VmHWM starts afresh at exec, unlike
+/// getrusage's ru_maxrss, which a child inherits from its parent.
+std::uint64_t peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;  // reported in kB
+    }
+  }
+  return 0;
+}
+
+// Simulator state must be sized by the network, not by the run: the same
+// cell run 30x longer may not raise the process's peak resident set by
+// more than a small allowance. Placed first in the file so that a run of
+// the whole binary measures it before other tests raise the peak (ctest
+// runs every case in a process of its own).
+TEST(NetworkSimMemory, PeakResidentSetDoesNotGrowWithRunLength) {
+#ifdef GCUBE_TEST_SANITIZED
+  GTEST_SKIP() << "sanitizer allocators quarantine freed memory";
+#endif
+  if (peak_rss_bytes() == 0) GTEST_SKIP() << "VmHWM is not available";
+  GcSimSpec spec;
+  spec.n = 12;
+  spec.modulus = 4;
+  spec.sim.injection_rate = 0.05;
+  spec.sim.warmup_cycles = 0;
+  spec.sim.threads = 1;
+  spec.sim.measure_cycles = 300;
+  ASSERT_GT(run_gc_simulation(spec).metrics.delivered, 0u);
+  const std::uint64_t short_peak = peak_rss_bytes();
+  spec.sim.measure_cycles = 9000;
+  ASSERT_GT(run_gc_simulation(spec).metrics.delivered, 0u);
+  const std::uint64_t long_peak = peak_rss_bytes();
+  EXPECT_LT(long_peak - short_peak, std::uint64_t{2} << 20)
+      << "peak RSS " << short_peak << " B after 300 cycles, " << long_peak
+      << " B after 9000";
+}
 
 SimConfig quick_config() {
   SimConfig cfg;
@@ -43,6 +97,30 @@ TEST(NetworkSim, DeterministicForFixedSeed) {
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.total_latency, b.total_latency);
   EXPECT_EQ(a.total_hops, b.total_hops);
+}
+
+TEST(NetworkSim, RunBeyondTheFireKeyCycleRangeIsRefused) {
+  // Far-heap injection fires are keyed (cycle << 26) | node, so a run of
+  // 2^38 cycles or more is refused when the simulator is built, before any
+  // cycle runs; the sum is checked without overflowing.
+  const GaussianCube gc(7, 2);
+  const FfgcrRouter router(gc);
+  const FaultSet none;
+  SimConfig cfg = quick_config();
+  cfg.measure_cycles = Cycle{1} << 38;
+  try {
+    NetworkSim sim(gc, router, none, cfg);
+    FAIL() << "a 2^38-cycle run must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("2^38"), std::string::npos)
+        << e.what();
+  }
+  cfg.warmup_cycles = ~Cycle{0} - 5;
+  cfg.measure_cycles = 10;  // the sum wraps to 4
+  EXPECT_THROW(NetworkSim(gc, router, none, cfg), std::invalid_argument);
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = (Cycle{1} << 38) - 1;
+  EXPECT_NO_THROW(NetworkSim(gc, router, none, cfg));
 }
 
 TEST(NetworkSim, DifferentSeedsDiffer) {
@@ -357,9 +435,27 @@ TEST(DynamicFaults, DeliveredPathsAreFaultFreeAtTraversalTime) {
   EXPECT_GT(m.fault_events, 0u);
 }
 
+TEST(HopLog, GrowsPastItsReservationAndKeepsEveryHop) {
+  // A detour longer than the injection-time reservation doubles the log;
+  // every dimension up to kMaxDimension - 1 survives its one-byte slot.
+  HopLog log;
+  log.reserve(4);
+  for (std::uint32_t i = 0; i < 100; ++i) log.push_back(i % kMaxDimension);
+  ASSERT_EQ(log.size(), 100u);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(log[i], i % kMaxDimension);
+  log.clear();  // a retransmit restarts the log in the same buffer
+  log.push_back(kMaxDimension - 1);
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], kMaxDimension - 1);
+  log.release();
+  EXPECT_EQ(log.size(), 0u);
+  log.push_back(3);  // a released log grows again from nothing
+  EXPECT_EQ(log[0], 3u);
+}
+
 TEST(NetworkSim, AuditedReplayHoldsWhenSteeredPacketsReroute) {
   // Only the 1-in-64 audited sample records its traversed path in a
-  // HopTail; every other packet keeps a bare hop counter. The delivery
+  // HopLog; every other packet keeps a bare hop counter. The delivery
   // replay (a GCUBE_REQUIRE inside the simulator) must therefore still
   // see a complete src->dst path for every audited delivery even when
   // mid-run faults force steered packets off their fault-free table hops

@@ -7,18 +7,11 @@ namespace gcube {
 void FaultOverlay::attach(const Topology& topo) {
   topo_ = &topo;
   const std::uint64_t nodes = topo.node_count();
-  const Dim n = topo.dims();
-  full_.assign(nodes, 0);
-  for (NodeId u = 0; u < nodes; ++u) {
-    std::uint32_t mask = 0;
-    for (Dim c = 0; c < n; ++c) {
-      if (topo.has_link(u, c)) mask |= std::uint32_t{1} << c;
-    }
-    full_[u] = mask;
-  }
+  full_.resize(nodes);
+  for (NodeId u = 0; u < nodes; ++u) full_[u] = topo.link_mask(u);
   usable_ = full_;
   clean_.reset(nodes);
-  for (NodeId u = 0; u < nodes; ++u) clean_.set(u);
+  clean_.set_all();
   nodes_seen_ = 0;
   links_seen_ = 0;
   version_seen_ = ~std::uint64_t{0};
@@ -51,7 +44,7 @@ void FaultOverlay::apply_link(LinkId l) {
 
 void FaultOverlay::rebuild(const FaultSet& faults) {
   usable_ = full_;
-  for (NodeId u = 0; u < usable_.size(); ++u) clean_.set(u);
+  clean_.set_all();
   nodes_seen_ = 0;
   links_seen_ = 0;
   for (const NodeId v : faults.faulty_nodes()) apply_node(v);

@@ -28,8 +28,9 @@ namespace gcube {
 
 class FaultOverlay {
  public:
-  /// Builds the full-link masks for `topo` (one has_link sweep) and resets
-  /// to the fault-free state. The topology must outlive the overlay.
+  /// Builds the full-link masks for `topo` (one Topology::link_mask call
+  /// per node) and resets to the fault-free state with whole-word fills.
+  /// The topology must outlive the overlay.
   void attach(const Topology& topo);
 
   /// Brings the masks up to date with `faults`. Incremental: only fault
@@ -56,16 +57,6 @@ class FaultOverlay {
   /// two mask loads and a compare.
   [[nodiscard]] bool node_clean(NodeId u) const noexcept {
     return clean_.test(u);
-  }
-  /// 64 nodes' clean bits at once (bit i = node 64 * w + i), for
-  /// word-parallel scans over node ranges.
-  [[nodiscard]] std::uint64_t clean_word(std::size_t w) const noexcept {
-    return clean_.word(w);
-  }
-  /// 64 nodes' clean bits starting at an arbitrary base node (bit i = node
-  /// base + i), for shards whose node range is not word-aligned.
-  [[nodiscard]] std::uint64_t clean_window(NodeId base) const noexcept {
-    return clean_.window(base);
   }
 
  private:

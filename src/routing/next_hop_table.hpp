@@ -66,10 +66,9 @@ class NextHopFabric {
   }
 
   /// Batched fault_free_hop: out[i] = fault_free_hop(cur[i], dst[i]) for
-  /// i < count. Same preconditions per element. The batched advance hands
-  /// a whole active-word's worth of (cur, dst) pairs here so the pending
-  /// mask + tree-edge loads run in a tight non-branchy loop instead of
-  /// interleaved with queue and link bookkeeping.
+  /// i < count. Same preconditions per element: the pending mask +
+  /// tree-edge loads of a whole batch of (cur, dst) pairs run in one tight
+  /// loop (the benchmark's lookup-throughput layer measures it).
   void fault_free_hops(std::size_t count, const NodeId* cur,
                        const NodeId* dst, Dim* out) const noexcept;
 

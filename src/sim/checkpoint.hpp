@@ -2,8 +2,9 @@
 //
 // A checkpoint is the COMPLETE run state at the cycle-barrier serial point,
 // captured in canonical (shard-count-independent) form: per-node effective
-// packet queues (current queue contents plus the pending mailbox arrivals,
-// pre-merged in the exact order the next phase A would drain them), the
+// packet queues (the records a node's last service left queued plus the
+// pending departures toward it, pre-merged in the exact order the next
+// phase A would sort them in), the
 // parked retry/retransmit entries in wake order, the pending injection
 // fires as absolute (cycle, node) pairs, the live fault set with the
 // fault-schedule cursor, and the folded SimMetrics. The counter RNG needs
@@ -11,9 +12,9 @@
 // so RNG identity is just the seed plus the resume cycle. Link reservation
 // needs no state either: it lives only inside one node's service of one
 // cycle. Resuming from a checkpoint therefore reproduces the uninterrupted
-// run's metrics bit for bit, for ANY thread count, SIMD level, or batch
-// toggle on either side of the crash (the same contract the live
-// simulator already enforces across those knobs).
+// run's metrics bit for bit, for ANY thread count or SIMD level on either
+// side of the crash (the same contract the live simulator already
+// enforces across those knobs).
 //
 // On-disk format (little-endian):
 //
@@ -119,7 +120,7 @@ struct CheckpointProvenance {
 
 /// The semantic simulation parameters a resume MUST match: any difference
 /// here changes the simulated trajectory, so the loader refuses with an
-/// error naming the mismatched field. threads / SIMD level / batch are
+/// error naming the mismatched field. threads and the SIMD level are
 /// deliberately absent — metrics are bit-identical across them.
 struct CheckpointConfig {
   std::uint64_t seed = 0;

@@ -95,12 +95,12 @@ struct SimMetrics {
   std::uint64_t parked_retries = 0;  // strandings parked for backoff retry
   std::uint64_t retransmits = 0;     // end-to-end source relaunches
   std::uint64_t gave_up = 0;         // retries and retransmits exhausted
-  /// Packets still inside the network (queued, in a mailbox, or parked for
-  /// retry) when the run ended — the closing term of the accounting
-  /// identity: generated = delivered(+carryover at warmup boundary) +
-  /// dropped + injections_blocked + dropped_no_route + dropped_hop_limit +
-  /// orphaned_by_node_fault + gave_up + in_flight_at_end, exact when
-  /// warmup_cycles == 0. Serial field (set once after the cycle loop).
+  /// Packets still inside the network (queued, in a departure box, or
+  /// parked for retry) when the run ended — the closing term of the
+  /// accounting identity: generated = delivered(+carryover at warmup
+  /// boundary) + dropped + injections_blocked + dropped_no_route +
+  /// dropped_hop_limit + orphaned_by_node_fault + gave_up +
+  /// in_flight_at_end, exact when warmup_cycles == 0. Serial field (set once after the cycle loop).
   std::uint64_t in_flight_at_end = 0;
   /// Nonzero when the run stopped early at a graceful-halt request (SIGINT
   /// via SimConfig::stop_requested, or halt_at_cycle): the cycle the loop
@@ -117,8 +117,8 @@ struct SimMetrics {
   /// steady_clock reads are cheap but not free, so benches opt in for an
   /// instrumented pass and leave timed runs clean. Diagnostics, not
   /// simulation results: EXCLUDED from deterministic_equals().
-  std::uint64_t phase_drain_ns = 0;    // phase A: mailbox/release drains
-  std::uint64_t phase_inject_ns = 0;   // phase A: injection + occupancy
+  std::uint64_t phase_drain_ns = 0;    // phase A: release drains + sort
+  std::uint64_t phase_inject_ns = 0;   // phase A: injection fires/scan
   std::uint64_t phase_advance_ns = 0;  // phase B: queue service
   std::uint64_t phase_commit_ns = 0;   // fused serial section
   /// Router memoization counters over the measurement window (cache state

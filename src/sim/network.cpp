@@ -11,7 +11,6 @@
 #include <thread>
 #include <utility>
 
-#include "sim/advance_simd.hpp"
 #include "sim/sweep.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -39,6 +38,11 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
                 "range of an injection fire key");
   GCUBE_REQUIRE(config.threads <= kMaxPoolShards,
                 "thread count exceeds the packet-reference shard space");
+  // Packet records count hops in 16 bits; the livelock guard bounds every
+  // online-routed packet's count, so it must fit them.
+  GCUBE_REQUIRE(config.reroute_hop_limit <= kMaxPacketHops,
+                "reroute hop limit above 65535 does not fit a packet "
+                "record's 16-bit hop count");
   GCUBE_REQUIRE(config.retry_limit <= 32,
                 "retry limit above 32 would overflow the backoff shift");
   GCUBE_REQUIRE(config.retry_backoff_base >= 1,
@@ -53,11 +57,6 @@ NetworkSim::NetworkSim(const Topology& topo, const Router& router,
   if (fabric != nullptr && fabric->supported()) fabric_ = fabric;
   steer_ = config_.fabric && fabric_ != nullptr;
   active_set_ = config_.active_set;
-  // The scalar escape hatch: --no-batch / SimConfig::batch = false, or the
-  // process-wide environment override the CI equivalence leg uses to force
-  // every simulation in a test binary onto the scalar scan.
-  batch_ = config_.batch && active_set_ &&
-           std::getenv("GCUBE_SIM_NO_BATCH") == nullptr;
   timing_ = config_.phase_timing;
   simd_ = simd_level();
 }
@@ -130,17 +129,17 @@ void NetworkSim::configure_shards(unsigned shard_count) {
     Shard& sh = shards_[s];
     sh.begin = begin;
     sh.end = begin + range_base_ + (s < range_rem_ ? 1 : 0);
-    for (auto& parity : sh.outbox) parity.resize(count);
+    for (auto& parity : sh.box) parity.resize(count);
     for (auto& parity : sh.released) parity.resize(count);
+    sh.busy.reset(sh.end - sh.begin);
+    sh.run_end.assign(sh.end - sh.begin, 0);
     if (active_set_) {
-      sh.active.reset(sh.end - sh.begin);
       sh.wheel.assign(kWheelSize, {});
       sh.far_fires = {};
       sh.armed.assign(sh.end - sh.begin, 0);
     }
     begin = sh.end;
   }
-  queues_.assign(nodes, {});
   occ_.assign(config_.buffer_limit != 0 ? nodes : 0, 0);
   in_flight_ = 0;
   parked_.clear();
@@ -150,7 +149,8 @@ void NetworkSim::configure_shards(unsigned shard_count) {
 
 unsigned NetworkSim::shard_of(NodeId u) const noexcept {
   // Single-shard runs skip the divisions below — they sit on the per-hop
-  // mailbox path and are pure overhead when there is only one owner.
+  // cross-shard departure path and are pure overhead when there is only
+  // one owner.
   if (shards_.size() == 1) return 0;
   // Contiguous split: the first range_rem_ shards are one node wider.
   const NodeId wide = range_base_ + 1;
@@ -160,51 +160,57 @@ unsigned NetworkSim::shard_of(NodeId u) const noexcept {
       range_rem_ + (u - split) / (range_base_ == 0 ? 1 : range_base_));
 }
 
-void NetworkSim::release_ref(unsigned w, PacketRef ref, unsigned parity) {
-  const unsigned home = packet_ref_shard(ref);
+void NetworkSim::release_ref(unsigned w, const PacketRecord& rec,
+                             unsigned parity) {
+  drop_resources(rec);
+  const unsigned home = packet_ref_shard(rec.ref);
   if (home == w) {
-    shards_[home].pool.release(packet_ref_slot(ref));
+    shards_[home].pool.release(packet_ref_slot(rec.ref));
   } else {
     // Foreign pools may not be touched from phase B (their owners grow and
     // release into them concurrently); route the slot home through the
     // current-parity release ring, drained by the owner's next phase A.
-    shards_[w].released[parity][home].push_back(ref);
+    shards_[w].released[parity][home].push_back(rec.ref);
   }
 }
 
-std::size_t NetworkSim::discard_packets_at(NodeId u) {
+void NetworkSim::release_serial(const PacketRecord& rec) {
+  drop_resources(rec);
+  shards_[packet_ref_shard(rec.ref)].pool.release(packet_ref_slot(rec.ref));
+}
+
+std::size_t NetworkSim::discard_packets_at(const std::vector<NodeId>& dead) {
+  // A packet queued at a dead node sits in its shard's stays; one in
+  // transit to it sits in a box toward that shard (at this serial point
+  // one parity of each foreign box is empty, so scanning both costs
+  // nothing). Survivors keep their order.
+  std::vector<bool> hit(shards_.size(), false);
+  for (const NodeId u : dead) hit[shard_of(u)] = true;
   std::size_t lost = 0;
-  NodeQueue& queue = queues_[u];
-  while (queue.size != 0) {
-    const PacketRef ref = queue_pop(queue);
-    shards_[packet_ref_shard(ref)].pool.release(packet_ref_slot(ref));
-    ++lost;
-  }
-  // Packets already forwarded to u but still parked in a mailbox are lost
-  // with it too; rotate each ring once, keeping survivors in order. At
-  // this serial point only one parity holds undrained arrivals, but
-  // scanning both costs nothing (the other is empty).
-  const unsigned dst_shard = shard_of(u);
-  for (Shard& src : shards_) {
-    for (auto& parity : src.outbox) {
-      Ring<Arrival>& box = parity[dst_shard];
-      for (std::size_t i = box.size(); i > 0; --i) {
-        const Arrival a = box.front();
-        box.pop_front();
-        if (a.node == u) {
-          shards_[packet_ref_shard(a.ref)].pool.release(
-              packet_ref_slot(a.ref));
-          ++lost;
-        } else {
-          box.push_back(a);
-        }
+  const auto filter = [&](RecordList<NodeRecord>& list) {
+    std::size_t kept = 0;
+    for (const NodeRecord& r : list) {
+      if (std::binary_search(dead.begin(), dead.end(), r.node)) {
+        release_serial(r.rec);
+        ++lost;
+      } else {
+        list[kept++] = r;
       }
+    }
+    list.truncate(kept);
+  };
+  for (unsigned d = 0; d < shards_.size(); ++d) {
+    if (!hit[d]) continue;
+    filter(shards_[d].stays);
+    for (Shard& src : shards_) {
+      for (auto& parity : src.box) filter(parity[d]);
     }
   }
   return lost;
 }
 
 void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
+  std::vector<NodeId> dead;  // nodes that died at this serial point
   while (next_event_ < schedule_events_.size() &&
          schedule_events_[next_event_].cycle <= now) {
     const FaultEvent& e = schedule_events_[next_event_++];
@@ -213,18 +219,10 @@ void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
       case FaultEvent::Kind::kLink:
         live_faults_->fail_link(e.node, e.dim);
         break;
-      case FaultEvent::Kind::kNode: {
+      case FaultEvent::Kind::kNode:
         live_faults_->fail_node(e.node);
-        // Packets sitting at (or in transit to) the dead node are lost
-        // with it. (Parked retries at it survive until their wake cycle,
-        // where the same orphan accounting applies.)
-        const std::size_t lost = discard_packets_at(e.node);
-        if (lost > 0) {
-          in_flight_ -= lost;
-          if (measuring) metrics_.orphaned_by_node_fault += lost;
-        }
+        dead.push_back(e.node);
         break;
-      }
       case FaultEvent::Kind::kRepairLink:
         if (live_faults_->repair_link(e.node, e.dim) && measuring) {
           ++metrics_.repairs_applied;
@@ -240,6 +238,16 @@ void NetworkSim::apply_fault_events(Cycle now, bool measuring) {
         }
         break;
     }
+  }
+  if (!dead.empty()) {
+    // Packets sitting at (or in transit to) a dead node are lost with it,
+    // in one pass however many nodes died. (Parked retries at it survive
+    // until their wake cycle, where the same orphan accounting applies.)
+    std::sort(dead.begin(), dead.end());
+    dead.erase(std::unique(dead.begin(), dead.end()), dead.end());
+    const std::size_t lost = discard_packets_at(dead);
+    in_flight_ -= lost;
+    if (measuring) metrics_.orphaned_by_node_fault += lost;
   }
   // Serial point: bring the overlay masks up to date before workers read
   // them. No-op (one version compare) when nothing changed. A repair bumps
@@ -274,15 +282,13 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
   // retransmit / give-up decisions — which consume shared budgets like
   // park_capacity — are identical for any shard count.
   for (Shard& sh : shards_) {
-    while (!sh.stranded.empty()) {
-      const Arrival s = sh.stranded.front();
-      sh.stranded.pop_front();
-      PacketCold& p = cold_of(s.ref);
+    for (const NodeRecord& s : sh.stranded) {
+      PacketCold& p = cold_of(s.rec.ref);
       if (p.retry_attempts < config_.retry_limit &&
           parked_count_[s.node] < config_.park_capacity) {
         const Cycle delay = config_.retry_backoff_base << p.retry_attempts;
         ++p.retry_attempts;
-        parked_.emplace(now + delay, Parked{s.node, s.ref, false});
+        parked_.emplace(now + delay, Parked{s.node, s.rec, false});
         ++parked_count_[s.node];
         ++parked_now_;
         if (measuring) ++metrics_.parked_retries;
@@ -292,16 +298,26 @@ void NetworkSim::commit_stranded(Cycle now, bool measuring,
         ++p.retransmits_used;
         p.retry_attempts = 0;
         parked_.emplace(now + config_.retransmit_timeout,
-                        Parked{p.src, s.ref, true});
+                        Parked{p.src, s.rec, true});
         ++parked_now_;
         if (measuring) ++metrics_.retransmits;
       } else {
-        shards_[packet_ref_shard(s.ref)].pool.release(packet_ref_slot(s.ref));
+        release_serial(s.rec);
         ++gave_up_removed;
         if (measuring) ++metrics_.gave_up;
       }
     }
+    sh.stranded.clear();
   }
+}
+
+std::shared_ptr<const Route> NetworkSim::plan_from(NodeId u,
+                                                   NodeId dst) const {
+  std::shared_ptr<const Route> plan = router_.plan_shared(u, dst);
+  GCUBE_REQUIRE(plan == nullptr || plan->length() <= kMaxPacketHops,
+                "router plan longer than 65535 hops: a packet record "
+                "counts hops in 16 bits");
+  return plan;
 }
 
 void NetworkSim::wake_parked(Cycle now, bool measuring) {
@@ -310,8 +326,9 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
     parked_.erase(parked_.begin());
     --parked_now_;
     if (!pk.respawn) --parked_count_[pk.node];
+    PacketRecord rec = pk.rec;
     const auto release = [&] {
-      shards_[packet_ref_shard(pk.ref)].pool.release(packet_ref_slot(pk.ref));
+      release_serial(rec);
       --in_flight_;
     };
     if (faults_.node_faulty(pk.node)) {
@@ -325,17 +342,16 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
       // end-to-end including the recovery delay), new route state. The
       // audit-sample membership is a pure function of the id, so the flag
       // survives the reset.
-      PacketHot& h = hot_of(pk.ref);
-      PacketCold& c = cold_of(pk.ref);
+      PacketCold& c = cold_of(rec.ref);
       c.plan.reset();
       c.steer_next = 0;
+      c.plan_len = 0;
       c.tail.clear();
-      h.hops = 0;
-      h.plan_len = 0;
-      h.flags = (h.flags & kPktAudited) | (steer_ ? kPktSteered : 0);
+      rec.hops = 0;
+      rec.flags = static_cast<std::uint16_t>((rec.flags & kPktAudited) |
+                                             (steer_ ? kPktSteered : 0));
       if (!steer_) {
-        std::shared_ptr<const Route> planned =
-            router_.plan_shared(c.src, h.dst);
+        std::shared_ptr<const Route> planned = plan_from(c.src, rec.dst);
         if (planned == nullptr) {
           // The planner sees no path at relaunch time; the retransmit is
           // spent and the packet is out of options.
@@ -343,18 +359,16 @@ void NetworkSim::wake_parked(Cycle now, bool measuring) {
           if (measuring) ++metrics_.gave_up;
           continue;
         }
-        h.plan_len = static_cast<std::uint32_t>(planned->length());
+        c.plan_len = static_cast<std::uint32_t>(planned->length());
         c.plan = std::move(planned);
-        h.flags |= kPktHasPlan;
+        rec.flags |= kPktHasPlan;
       }
     }
+    rec.flags = static_cast<std::uint16_t>(
+        (rec.flags & ~kPktAtDst) | (pk.node == rec.dst ? kPktAtDst : 0));
     // Re-entry bypasses buffer_limit: the packet never left the network,
     // so blocking it here would leak it from the accounting.
-    queue_push(pk.node, pk.ref);
-    if (active_set_) {
-      Shard& sh = shards_[shard_of(pk.node)];
-      sh.active.set(pk.node - sh.begin);
-    }
+    requeue_serial(pk.node, rec);
   }
 }
 
@@ -363,15 +377,17 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
   Shard& sh = shards_[w];
   SimMetrics& m = sh.metrics;
   if (measuring) ++m.generated;
+  // The node's count so far covers its stays, wakes and arrivals: the
+  // queue the packet would join.
   if (config_.buffer_limit != 0 &&
-      queues_[u].size >= config_.buffer_limit) {
+      sh.run_end[u - sh.begin] >= config_.buffer_limit) {
     if (measuring) ++m.injections_blocked;
     return;
   }
   std::shared_ptr<const Route> planned;
   std::uint32_t plan_len = 0;
   if (!steer_) {
-    planned = router_.plan_shared(u, dst);
+    planned = plan_from(u, dst);
     if (planned == nullptr) {
       if (measuring) ++m.dropped;
       return;
@@ -379,31 +395,29 @@ void NetworkSim::admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
     plan_len = static_cast<std::uint32_t>(planned->length());
   }
   // Steered packets launch with no plan at all: the fabric tables (or an
-  // adopted plan near faults) decide every hop at service time. release()
-  // leaves recycled slots with flags == 0 and a clear tail, so every other
-  // field is (re)initialized here.
+  // adopted plan near faults) decide every hop at service time. A released
+  // slot holds no plan and no hop log, so every other cold field is
+  // (re)initialized here.
   const PacketIndex slot = sh.pool.acquire();
-  PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
   const bool audited = (packet_id(now, u) & 63) == 0;
-  h.dst = dst;
-  h.hops = 0;
-  h.plan_len = plan_len;
-  h.flags = (steer_ ? kPktSteered : 0) |
-            (planned != nullptr ? kPktHasPlan : 0) |
-            (audited ? kPktAudited : 0);
   // The audited sample's hop log is allocated here, by the slot's owner,
-  // and freed by release(); its pushes happen wherever the packet is
-  // served.
+  // and freed by whichever worker releases the packet; its pushes happen
+  // wherever the packet is served.
   if (audited) c.tail.reserve(hop_log_reserve());
   c.src = u;
   c.created = now;
+  c.plan_len = plan_len;
   c.plan = std::move(planned);
   c.steer_next = 0;
   c.retry_attempts = 0;
   c.retransmits_used = 0;
-  queue_push(u, make_packet_ref(w, slot));
-  if (active_set_) sh.active.set(u - sh.begin);
+  const auto flags = static_cast<std::uint16_t>(
+      (steer_ ? kPktSteered : 0) | (c.plan != nullptr ? kPktHasPlan : 0) |
+      (audited ? kPktAudited : 0) | (u == dst ? kPktAtDst : 0));
+  sh.fresh.push_back({u, PacketRecord{make_packet_ref(w, slot), dst, 0,
+                                      flags}});
+  count_record(sh, u);
   ++sh.injected;
 }
 
@@ -443,41 +457,33 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
   sh.injected = 0;
   sh.removed = 0;
   sh.moved = false;
-  std::chrono::steady_clock::time_point t0, t1;
+  std::chrono::steady_clock::time_point t0, t1, t2;
   if (timing_) t0 = std::chrono::steady_clock::now();
-  // Batch-drain the opposite-parity rings: slots other shards released
-  // from this pool, then last cycle's arrivals in ascending source-shard
-  // order; shards are contiguous and ascending, so that equals ascending
-  // source-node order — the canonical queue order, independent of shard
-  // count. Indexed batch + clear instead of per-packet pop_front: one
-  // bounds check and head/count update per ring, not per handoff.
   const unsigned prev = static_cast<unsigned>(~now & 1);
   const auto shard_count = static_cast<unsigned>(shards_.size());
+  // Slots other shards released from this pool last cycle.
   for (unsigned s = 0; s < shard_count; ++s) {
-    Ring<PacketRef>& rel = shards_[s].released[prev][w];
-    const std::size_t freed = rel.size();
-    for (std::size_t i = 0; i < freed; ++i) {
-      sh.pool.release(packet_ref_slot(rel.at(i)));
-    }
+    RecordList<PacketRef>& rel = shards_[s].released[prev][w];
+    for (const PacketRef ref : rel) sh.pool.release(packet_ref_slot(ref));
     rel.clear();
-    Ring<Arrival>& box = shards_[s].outbox[prev][w];
-    const std::size_t arrivals = box.size();
-    for (std::size_t i = 0; i < arrivals; ++i) {
-      // The destination records are scattered across the queue table;
-      // stay a few arrivals ahead of the pushes.
-      if (i + kPrefetchAhead < arrivals) {
-        prefetch_write(&queues_[box.at(i + kPrefetchAhead).node]);
-      }
-      const Arrival a = box.at(i);
-      queue_push(a.node, a.ref);
-      if (active_set_) sh.active.set(a.node - sh.begin);
-    }
-    box.clear();
   }
-  if (timing_) {
-    t1 = std::chrono::steady_clock::now();
-    sh.metrics.phase_drain_ns += ns_between(t0, t1);
+  // Phase B consumed last cycle's runs (and zeroed their run_end slots):
+  // retire them, and their occupancy.
+  if (config_.buffer_limit != 0) {
+    sh.busy.for_each_set([&](std::uint64_t bit) {
+      occ_[sh.begin + static_cast<NodeId>(bit)] = 0;
+    });
   }
+  sh.busy.clear_all();
+  // Counting sort, pass 1: count every input per node, in input order —
+  // the stays (with serial-point wakes and restores), then last cycle's
+  // departures toward this shard in ascending source-shard order (its own
+  // box at its own position), then this cycle's injections.
+  for (const NodeRecord& r : sh.stays) count_record(sh, r.node);
+  for (unsigned s = 0; s < shard_count; ++s) {
+    for (const NodeRecord& r : box_of(s, w, prev)) count_record(sh, r.node);
+  }
+  if (timing_) t1 = std::chrono::steady_clock::now();
   if (active_set_) {
     // Event-driven injection: only nodes whose fire time is due do any
     // work this cycle. Far-heap stragglers join the wheel bucket. Fires
@@ -487,10 +493,9 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     // The bucket is fired in whatever order it was filled: fires at
     // distinct nodes commute. A node has at most one pending fire; its
     // draws are keyed on (seed, node, cycle); and admit_packet touches
-    // only that node's queue, its active bit and the shard's own pool and
-    // counters. The one order-dependent outcome — which pool slot each
-    // packet gets — already differs across thread counts and never reaches
-    // the metrics.
+    // only that node's count and the shard's own pool and counters. The
+    // one order-dependent outcome — which pool slot each packet gets, and
+    // where in the injection list it lands — never reaches the metrics.
     std::vector<NodeId>& bucket = sh.wheel[now & (kWheelSize - 1)];
     while (!sh.far_fires.empty() &&
            (sh.far_fires.top() >> kFireNodeBits) <= now) {
@@ -499,11 +504,9 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       sh.far_fires.pop();
     }
     // The per-(node, cycle) counter keys are a pure lane-parallel function
-    // of the bucket; batch them, then fire. The loop is staged like the
-    // arrival drain: the queue record 2 * kPrefetchAhead fires ahead, the
-    // old tail's next link (written by the push when the queue is
-    // non-empty) kPrefetchAhead fires ahead, and the pool slot an admit
-    // that far ahead will initialize.
+    // of the bucket; batch them, then fire. The node's count is prefetched
+    // 2 * kPrefetchAhead fires ahead and the cold record the admit that
+    // far ahead will initialize kPrefetchAhead fires ahead.
     const std::size_t due = bucket.size();
     std::uint64_t keys[64];
     for (std::size_t off = 0; off < due; off += 64) {
@@ -513,14 +516,12 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
       for (std::size_t j = 0; j < chunk; ++j) {
         const std::size_t i = off + j;
         if (i + 2 * kPrefetchAhead < due) {
-          prefetch_write(&queues_[bucket[i + 2 * kPrefetchAhead]]);
+          prefetch_write(&sh.run_end[bucket[i + 2 * kPrefetchAhead] -
+                                     sh.begin]);
         }
         if (i + kPrefetchAhead < due) {
-          const NodeQueue& q = queues_[bucket[i + kPrefetchAhead]];
-          if (q.size != 0) prefetch_write(&next_of(q.tail));
           const PacketIndex slot = sh.pool.upcoming_slot(kPrefetchAhead);
           if (slot != PacketPool::kMaxSlots) {
-            prefetch_write(&sh.pool.hot(slot));
             prefetch_write(&sh.pool.cold(slot));
           }
         }
@@ -532,450 +533,331 @@ void NetworkSim::phase_inject(unsigned w, Cycle now, bool measuring) {
     // the kWheelSize buckets would grow to that peak. Released, the wheel
     // holds at most one entry per node.
     std::vector<NodeId>().swap(bucket);
-    if (config_.buffer_limit != 0) {
-      // Maintenance scan over live bits only: retire nodes whose queue
-      // emptied last cycle, publish committed occupancy for the rest.
-      // (With unbounded buffers there is no occupancy to publish and
-      // phase B retires emptied nodes itself, so no scan at all.)
-      sh.active.for_each_set([&](std::uint64_t bit) {
-        const NodeId u = sh.begin + static_cast<NodeId>(bit);
-        const std::uint32_t depth = queues_[u].size;
-        if (depth == 0) {
-          sh.active.clear(bit);
-          occ_[u] = 0;
-        } else {
-          occ_[u] = depth;
-        }
-      });
-    }
-  } else {
-    if (const std::optional<double> rate = traffic_.bernoulli_rate()) {
-      // Batched Bernoulli sweep: one SIMD predicate pass answers "does
-      // node u inject this cycle" for 64 nodes at a time. Drawing for an
-      // ineligible node has no side effects (every node's stream is an
-      // independent pure function of (seed, node, cycle)), so discarding
-      // those lanes reproduces the scalar scan — which skips them before
-      // drawing — exactly. Hit nodes replay their stream from the key:
-      // should_inject consumes the predicate draw (true by construction),
-      // then the destination draws follow as in the scalar loop.
-      for (NodeId blk = sh.begin; blk < sh.end; blk += 64) {
-        const auto cnt =
-            static_cast<unsigned>(std::min<NodeId>(64, sh.end - blk));
-        std::uint64_t mask = counter_bernoulli_mask(simd_, config_.seed,
-                                                    now, blk, cnt, *rate);
-        for (; mask != 0; mask &= mask - 1) {
-          const NodeId u =
-              blk + static_cast<NodeId>(std::countr_zero(mask));
-          if (!traffic_.eligible(u)) continue;
-          CounterRng rng(counter_key(config_.seed, u, now));
-          if (!traffic_.should_inject(u, rng)) continue;
-          const NodeId dst = traffic_.pick_destination(u, rng);
-          admit_packet(w, u, dst, now, measuring);
-        }
-      }
-    } else {
-      for (NodeId u = sh.begin; u < sh.end; ++u) {
+  } else if (const std::optional<double> rate = traffic_.bernoulli_rate()) {
+    // Batched Bernoulli sweep: one SIMD predicate pass answers "does node
+    // u inject this cycle" for 64 nodes at a time. Drawing for an
+    // ineligible node has no side effects (every node's stream is an
+    // independent pure function of (seed, node, cycle)), so discarding
+    // those lanes reproduces the scalar scan — which skips them before
+    // drawing — exactly. Hit nodes replay their stream from the key:
+    // should_inject consumes the predicate draw (true by construction),
+    // then the destination draws follow as in the scalar loop.
+    for (NodeId blk = sh.begin; blk < sh.end; blk += 64) {
+      const auto cnt =
+          static_cast<unsigned>(std::min<NodeId>(64, sh.end - blk));
+      std::uint64_t mask = counter_bernoulli_mask(simd_, config_.seed, now,
+                                                  blk, cnt, *rate);
+      for (; mask != 0; mask &= mask - 1) {
+        const NodeId u = blk + static_cast<NodeId>(std::countr_zero(mask));
         if (!traffic_.eligible(u)) continue;
-        // Per-(node, cycle) draw stream: injection and destination choice
-        // are pure functions of (seed, u, now), never of sweep or thread
-        // order.
         CounterRng rng(counter_key(config_.seed, u, now));
         if (!traffic_.should_inject(u, rng)) continue;
-        // The destination draw happens before the buffer check so that
-        // offered load (`generated`, and the draw stream behind it) is
-        // identical across buffer_limit settings; a blocked injection
-        // differs only in being counted in injections_blocked instead of
-        // entering the network.
         const NodeId dst = traffic_.pick_destination(u, rng);
         admit_packet(w, u, dst, now, measuring);
       }
     }
+  } else {
+    for (NodeId u = sh.begin; u < sh.end; ++u) {
+      if (!traffic_.eligible(u)) continue;
+      // Per-(node, cycle) draw stream: injection and destination choice
+      // are pure functions of (seed, u, now), never of sweep or thread
+      // order.
+      CounterRng rng(counter_key(config_.seed, u, now));
+      if (!traffic_.should_inject(u, rng)) continue;
+      // The destination draw happens before the buffer check so that
+      // offered load (`generated`, and the draw stream behind it) is
+      // identical across buffer_limit settings; a blocked injection
+      // differs only in being counted in injections_blocked instead of
+      // entering the network.
+      const NodeId dst = traffic_.pick_destination(u, rng);
+      admit_packet(w, u, dst, now, measuring);
+    }
+  }
+  if (timing_) t2 = std::chrono::steady_clock::now();
+  // Pass 2: counts become start offsets, ascending over the busy nodes;
+  // with finite buffers they are also this cycle's committed occupancy.
+  std::uint32_t total = 0;
+  sh.busy.for_each_set([&](std::uint64_t bit) {
+    const std::uint32_t count = sh.run_end[bit];
     if (config_.buffer_limit != 0) {
-      // Publish committed occupancy for this cycle's backpressure checks.
-      for (NodeId u = sh.begin; u < sh.end; ++u) {
-        occ_[u] = queues_[u].size;
-      }
+      occ_[sh.begin + static_cast<NodeId>(bit)] = count;
     }
+    sh.run_end[bit] = total;
+    total += count;
+  });
+  // Pass 3: scatter in input order (stable), which leaves run_end at each
+  // run's end.
+  sh.cur.resize_for_overwrite(total);
+  const auto place = [&sh](const NodeRecord& r) {
+    sh.cur[sh.run_end[r.node - sh.begin]++] = r.rec;
+  };
+  for (const NodeRecord& r : sh.stays) place(r);
+  sh.stays.clear();
+  for (unsigned s = 0; s < shard_count; ++s) {
+    RecordList<NodeRecord>& box = box_of(s, w, prev);
+    for (const NodeRecord& r : box) place(r);
+    box.clear();
   }
+  for (const NodeRecord& r : sh.fresh) place(r);
+  sh.fresh.clear();
   if (timing_) {
-    sh.metrics.phase_inject_ns +=
-        ns_between(t1, std::chrono::steady_clock::now());
+    const auto t3 = std::chrono::steady_clock::now();
+    sh.metrics.phase_drain_ns += ns_between(t0, t1) + ns_between(t2, t3);
+    sh.metrics.phase_inject_ns += ns_between(t1, t2);
   }
 }
 
-void NetworkSim::serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
-                            bool& moved, bool clean, std::uint32_t hint) {
+void NetworkSim::deliver(unsigned w, const PacketRecord& rec, Cycle now,
+                         bool measuring) {
   Shard& sh = shards_[w];
-  SimMetrics& m = sh.metrics;
-  const unsigned parity = static_cast<unsigned>(now & 1);
-  NodeQueue& queue = queues_[u];
-  // One packet per directed link per cycle: bit c is set once this service
-  // has sent a packet along dimension c. u is served once per cycle and
-  // owns its outgoing links, so no state outlives the call.
-  static_assert(kMaxDimension <= 32, "link mask is one 32-bit word");
-  std::uint32_t links_used = 0;
-  for (std::uint32_t served = 0;
-       served < config_.service_rate && queue.size != 0; ++served) {
-    const PacketRef ref = queue.head;
-    PacketHot& h = hot_of(ref);
-    // The packet behind this one is served next unless this one blocks:
-    // start loading its hot record now. (The batched harvest already
-    // prefetched the front packet's next link.)
-    if (queue.size > 1 && served + 1 < config_.service_rate) {
-      prefetch_read(&hot_of(next_of(ref)));
+  if (rec.audited()) {
+    const PacketCold& c = cold_of(rec.ref);
+    NodeId replay = c.src;
+    for (std::uint32_t k = 0; k < rec.hops; ++k) {
+      replay = flip_bit(replay, packet_hop_at(c, k));
     }
-    // The batched pass precomputed the front packet's disposition; every
-    // later packet of the queue takes the full decision tree.
-    const std::uint32_t hd = served == 0 ? hint : kHintNone;
-    // Adaptive and steered packets carry no complete route, so arrival is
-    // detected positionally; a planned packet arrives exactly when its
-    // route is consumed (the planner guarantees it ends at dst).
-    const bool arrived =
-        hd == kHintArrived ||
-        (hd == kHintNone &&
-         (h.positional_arrival() ? u == h.dst : h.hops == h.plan_len));
-    if (arrived) {
-      if (h.audited()) {
-        const PacketCold& c = cold_of(ref);
-        NodeId replay = c.src;
-        for (std::uint32_t i = 0; i < h.hops; ++i) {
-          replay = flip_bit(replay, packet_hop_at(h, c, i));
-        }
-        GCUBE_REQUIRE(replay == h.dst,
-                      "delivered packet's recorded path must end at dst");
-      }
-      if (measuring) {
-        const PacketCold& c = cold_of(ref);
-        if (c.created < config_.warmup_cycles) {
-          // Warmup-generated packet completing inside the window: real
-          // work, but counting it in delivered/latency would let the
-          // delivery ratio exceed the offered load and skew the averages.
-          ++m.carryover_delivered;
-        } else {
-          ++m.delivered;
-          m.total_latency += now - c.created;
-          m.total_hops += h.hops;
-          m.latency_histogram.record(now - c.created);
-        }
-        ++m.service_ops;
-      }
-      ++sh.removed;
-      queue_pop(queue);
-      release_ref(w, ref, parity);
-      moved = true;
-      continue;
-    }
-    // A dropped packet leaves the network for good; dropping counts as
-    // progress for the stall detector.
-    const auto drop_hop_limit = [&]() {
-      if (measuring) ++m.dropped_hop_limit;
-      ++sh.removed;
-      queue_pop(queue);
-      release_ref(w, ref, parity);
-      moved = true;
-    };
-    // A packet with no usable continuation is dropped outright in legacy
-    // mode; in recovery mode it is handed to the serial commit, which
-    // decides between a parked retry, a source retransmit, and giving up.
-    // A stranded packet stays in flight (not counted in sh.removed).
-    const auto strand = [&]() {
-      if (retries_) {
-        sh.stranded.push_back({u, ref});
-      } else {
-        if (measuring) ++m.dropped_no_route;
-        ++sh.removed;
-        release_ref(w, ref, parity);
-      }
-      queue_pop(queue);
-      moved = true;
-    };
-    Dim c;
-    if (hd < kHintArrived) {
-      // Batched fast path: the classify pass established kPktSteered with
-      // no adopted plan, a clean node, and hops under the livelock guard,
-      // and the table lookup already ran — the hint IS the usable hop.
-      c = static_cast<Dim>(hd);
-    } else if ((h.flags & kPktSteered) != 0) {
-      if (h.hops >= hop_limit_) {
-        drop_hop_limit();  // livelock guard, same bound as adaptive re-plans
-        continue;
-      }
-      std::optional<Dim> hop;
-      if ((h.flags & kPktHasPlan) != 0) {
-        // Following a plan adopted at an earlier fault-adjacent node;
-        // verify the next adopted hop is still alive before taking it.
-        PacketCold& cd = cold_of(ref);
-        const Dim pc = cd.plan->hops()[cd.steer_next];
-        if (overlay_.link_usable(u, pc)) {
-          hop = pc;
-        } else {
-          if (measuring) ++m.reroutes;
-          cd.plan.reset();  // died underfoot: re-steer from this node
-          cd.steer_next = 0;
-          h.flags &= ~kPktHasPlan;
-        }
-      }
-      if (!hop) {
-        if (clean) {
-          // No fault within distance 1: the fabric's fault-free table hop
-          // is guaranteed usable — no per-link checks at all.
-          hop = fabric_->fault_free_hop(u, h.dst);
-        } else {
-          // Fault-adjacent node: adopt the router's full fault-aware plan
-          // from here. A reroute is counted when the fault actually
-          // deflects the packet off its fault-free table hop.
-          if (measuring &&
-              !overlay_.link_usable(u, fabric_->fault_free_hop(u, h.dst))) {
-            ++m.reroutes;
-          }
-          std::shared_ptr<const Route> adopted =
-              router_.plan_shared(u, h.dst);
-          if (adopted == nullptr || adopted->length() == 0 ||
-              !overlay_.link_usable(u, adopted->hops().front())) {
-            strand();  // no usable continuation (dst dead or region cut off)
-            continue;
-          }
-          PacketCold& cd = cold_of(ref);
-          cd.plan = std::move(adopted);
-          cd.steer_next = 0;
-          h.flags |= kPktHasPlan;
-          hop = cd.plan->hops().front();
-        }
-      }
-      c = *hop;
-    } else if ((h.flags & kPktAdaptive) != 0) {
-      if (h.hops >= hop_limit_) {
-        drop_hop_limit();  // livelock guard: stepwise re-plans cycled
-        continue;
-      }
-      const std::optional<Dim> nh = router_.next_hop(u, h.dst);
-      if (!nh || !overlay_.link_usable(u, *nh)) {
-        strand();  // no usable continuation (dst dead or region cut off)
-        continue;
-      }
-      c = *nh;
+    GCUBE_REQUIRE(replay == rec.dst,
+                  "delivered packet's recorded path must end at dst");
+  }
+  if (measuring) {
+    SimMetrics& m = sh.metrics;
+    const PacketCold& c = cold_of(rec.ref);
+    if (c.created < config_.warmup_cycles) {
+      // Warmup-generated packet completing inside the window: real work,
+      // but counting it in delivered/latency would let the delivery ratio
+      // exceed the offered load and skew the averages.
+      ++m.carryover_delivered;
     } else {
-      c = cold_of(ref).plan->hops()[h.hops];
-      if (!overlay_.link_usable(u, c)) {
-        // The precomputed next link died under the packet: re-plan from
-        // here with current fault knowledge instead of traversing it.
-        if (measuring) ++m.reroutes;
-        h.flags |= kPktAdaptive;
-        h.plan_len = h.hops;  // abandon the unconsumed planned tail
-        const std::optional<Dim> nh = router_.next_hop(u, h.dst);
-        if (!nh || !overlay_.link_usable(u, *nh)) {
-          strand();
-          continue;
-        }
-        c = *nh;
-      }
+      ++m.delivered;
+      m.total_latency += now - c.created;
+      m.total_hops += rec.hops;
+      m.latency_histogram.record(now - c.created);
     }
-    const std::uint32_t link = std::uint32_t{1} << c;
-    if ((links_used & link) != 0) return;  // link busy: head-of-line blocking
-    const NodeId v = flip_bit(u, c);
-    if (config_.buffer_limit != 0 && occ_[v] >= config_.buffer_limit) {
-      return;  // backpressure against start-of-cycle committed occupancy
-    }
-    links_used |= link;
-    if (measuring) ++m.service_ops;
-    if ((h.flags & (kPktSteered | kPktAdaptive)) != 0) {
-      // Online-routed hop: only the audited sample records it (the audit
-      // path lives in the tail); everyone else keeps just the hop count.
-      if (h.audited()) cold_of(ref).tail.push_back(c);
-      if ((h.flags & (kPktSteered | kPktHasPlan)) ==
-          (kPktSteered | kPktHasPlan)) {
-        PacketCold& cd = cold_of(ref);
-        if (++cd.steer_next >=
-            static_cast<std::uint32_t>(cd.plan->length())) {
-          cd.plan.reset();  // adopted plan consumed; back to table steering
-          cd.steer_next = 0;
-          h.flags &= ~kPktHasPlan;
-        }
-      }
-    }
-    ++h.hops;
-    sh.outbox[parity][shard_of(v)].push_back({v, ref});
-    queue_pop(queue);
-    moved = true;
+    ++m.service_ops;
   }
+  ++sh.removed;
+  release_ref(w, rec, static_cast<unsigned>(now & 1));
 }
 
-void NetworkSim::serve_word(unsigned w, std::size_t word_index, Cycle now,
-                            bool measuring, bool& moved, bool retire) {
+bool NetworkSim::serve_record(unsigned w, NodeId u, bool clean,
+                              PacketRecord& rec, std::uint32_t& links_used,
+                              Cycle now, bool measuring) {
   Shard& sh = shards_[w];
-  const NodeId base = sh.begin + static_cast<NodeId>(word_index << 6);
-  // Pass 1 (read-only + stale-bit retirement): harvest the word's set bits
-  // in ascending order and prefetch each front packet's 16-byte hot
-  // record, so the classify pass walks warm cache lines instead of eating
-  // a dependent miss per node. A deeper queue also gets its front's next
-  // link prefetched: serve_node follows it to the second packet.
-  NodeId nodes[64];
-  PacketRef refs[64];
-  PacketHot* hotp[64];
-  unsigned count = 0;
-  for (std::uint64_t bits = sh.active.word(word_index); bits != 0;
-       bits &= bits - 1) {
-    const auto b = static_cast<unsigned>(std::countr_zero(bits));
-    const NodeId u = base + b;
-    const NodeQueue& q = queues_[u];
-    if (q.size == 0) {
-      // Finite-buffer mode leaves retirement to the phase-A maintenance
-      // scan, so an empty-but-active node is normal there; with unbounded
-      // buffers this is purely defensive.
-      if (retire) sh.active.clear(u - sh.begin);
-      continue;
-    }
-    const PacketRef ref = q.head;
-    PacketPool& pool = shards_[packet_ref_shard(ref)].pool;
-    PacketHot* h = &pool.hot(packet_ref_slot(ref));
-    prefetch_read(h);
-    if (q.size > 1) prefetch_read(&pool.next(packet_ref_slot(ref)));
-    nodes[count] = u;
-    refs[count] = ref;
-    hotp[count] = h;
-    ++count;
-  }
-  if (count == 0) return;
-  // One overlay window answers all 64 clean-node questions (fault-free
-  // runs skip even that load).
-  const std::uint64_t clean =
-      !steer_ ? 0
-              : (no_faults_ ? ~std::uint64_t{0} : overlay_.clean_window(base));
-  // Pass 2 (read-only): classify every front packet in SIMD lanes —
-  // arrived, steered fast path (no adopted plan, clean node, under the
-  // livelock guard), or "decide in full later" — then compact the fast
-  // lanes into (cur, dst) pairs for one tight batched table-lookup loop.
-  const ClassifyMasks cm = classify_front_packets(
-      simd_, count, hotp, nodes, base, clean, hop_limit_);
-  std::uint32_t hints[64];
-  for (unsigned i = 0; i < count; ++i) hints[i] = kHintNone;
-  for (std::uint64_t bits = cm.arrived; bits != 0; bits &= bits - 1) {
-    const auto i = static_cast<unsigned>(std::countr_zero(bits));
-    hints[i] = kHintArrived;
-    // Delivery accounting reads the cold record (created, and src for
-    // the audited replay); start that line early.
-    prefetch_read(&shards_[packet_ref_shard(refs[i])].pool.cold(
-        packet_ref_slot(refs[i])));
-  }
-  NodeId cur[64];
-  NodeId dstv[64];
-  unsigned fast_of[64];
-  Dim hops[64];
-  unsigned nfast = 0;
-  for (std::uint64_t bits = cm.fast; bits != 0; bits &= bits - 1) {
-    const auto i = static_cast<unsigned>(std::countr_zero(bits));
-    cur[nfast] = nodes[i];
-    dstv[nfast] = hotp[i]->dst;
-    fast_of[nfast] = i;
-    ++nfast;
-  }
-  if (nfast != 0) {
-    fabric_->fault_free_hops(simd_, nfast, cur, dstv, hops);
-    for (unsigned i = 0; i < nfast; ++i) hints[fast_of[i]] = hops[i];
-  }
-  // Pass 3 (apply), strictly ascending node order: outbox push order is
-  // the canonical order the determinism contract rests on. The read-only
-  // passes above commute with these applies — within phase B, node
-  // services are mutually independent (each service's link mask is its
-  // own, every handoff goes via the parity mailboxes), so each node's
-  // front packet and queue are exactly as the classify pass saw them.
-  //
-  // The dominant shape at simulated loads — a depth-1 queue whose single
-  // packet either takes its precomputed hop or delivers — is applied
-  // inline (the exact serve_node semantics for that shape: one service,
-  // then the queue is empty); everything else takes the full path. The
-  // inline hop needs no link check: it is the first packet u sends this
-  // cycle.
-  const unsigned parity = static_cast<unsigned>(now & 1);
   SimMetrics& m = sh.metrics;
-  for (unsigned i = 0; i < count; ++i) {
-    const NodeId u = nodes[i];
-    const std::uint32_t hint = hints[i];
-    NodeQueue& queue = queues_[u];
-    if (retire && hint != kHintNone && queue.size == 1) {
-      const PacketRef ref = refs[i];
-      PacketHot& h = *hotp[i];  // resolved once at harvest
-      if (hint == kHintArrived) {
-        if (h.audited()) {
-          const PacketCold& c = cold_of(ref);
-          NodeId replay = c.src;
-          for (std::uint32_t k = 0; k < h.hops; ++k) {
-            replay = flip_bit(replay, packet_hop_at(h, c, k));
-          }
-          GCUBE_REQUIRE(replay == h.dst,
-                        "delivered packet's recorded path must end at dst");
-        }
-        if (measuring) {
-          const PacketCold& c = cold_of(ref);
-          if (c.created < config_.warmup_cycles) {
-            ++m.carryover_delivered;
-          } else {
-            ++m.delivered;
-            m.total_latency += now - c.created;
-            m.total_hops += h.hops;
-            m.latency_histogram.record(now - c.created);
-          }
-          ++m.service_ops;
-        }
-        ++sh.removed;
-        queue_pop(queue);
-        release_ref(w, ref, parity);
-        moved = true;
-        sh.active.clear(u - sh.begin);
-      } else {
-        const Dim c = static_cast<Dim>(hint);
-        if (measuring) ++m.service_ops;
-        if (h.audited()) cold_of(ref).tail.push_back(c);
-        ++h.hops;
-        const NodeId v = flip_bit(u, c);
-        sh.outbox[parity][shard_of(v)].push_back({v, ref});
-        queue_pop(queue);
-        moved = true;
-        sh.active.clear(u - sh.begin);
-      }
-      continue;
-    }
-    serve_node(w, u, now, measuring, moved,
-               ((clean >> (u - base)) & 1) != 0, hint);
-    if (retire && queue.size == 0) sh.active.clear(u - sh.begin);
+  const unsigned parity = static_cast<unsigned>(now & 1);
+  // Adaptive and steered packets carry no complete route, so arrival is
+  // detected positionally; a planned packet arrives exactly when its route
+  // is consumed (the planner guarantees it ends at dst).
+  const bool arrived = rec.positional_arrival()
+                           ? u == rec.dst
+                           : rec.hops == cold_of(rec.ref).plan_len;
+  if (arrived) {
+    deliver(w, rec, now, measuring);
+    return true;
   }
+  // A dropped packet leaves the network for good; dropping counts as
+  // progress for the stall detector.
+  const auto drop_hop_limit = [&]() {
+    if (measuring) ++m.dropped_hop_limit;
+    ++sh.removed;
+    release_ref(w, rec, parity);
+    return true;
+  };
+  // A packet with no usable continuation is dropped outright in legacy
+  // mode; in recovery mode it is handed to the serial commit, which decides
+  // between a parked retry, a source retransmit, and giving up. A stranded
+  // packet stays in flight (not counted in sh.removed).
+  const auto strand = [&]() {
+    if (retries_) {
+      sh.stranded.push_back({u, rec});
+    } else {
+      if (measuring) ++m.dropped_no_route;
+      ++sh.removed;
+      release_ref(w, rec, parity);
+    }
+    return true;
+  };
+  Dim c;
+  if ((rec.flags & kPktSteered) != 0) {
+    if (rec.hops >= hop_limit_) {
+      return drop_hop_limit();  // livelock guard, same as adaptive re-plans
+    }
+    std::optional<Dim> hop;
+    if ((rec.flags & kPktHasPlan) != 0) {
+      // Following a plan adopted at an earlier fault-adjacent node; verify
+      // the next adopted hop is still alive before taking it.
+      PacketCold& cd = cold_of(rec.ref);
+      const Dim pc = cd.plan->hops()[cd.steer_next];
+      if (overlay_.link_usable(u, pc)) {
+        hop = pc;
+      } else {
+        if (measuring) ++m.reroutes;
+        cd.plan.reset();  // died underfoot: re-steer from this node
+        cd.steer_next = 0;
+        rec.flags &= static_cast<std::uint16_t>(~kPktHasPlan);
+      }
+    }
+    if (!hop) {
+      if (clean) {
+        // No fault within distance 1: the fabric's fault-free table hop is
+        // guaranteed usable — no per-link checks at all.
+        hop = fabric_->fault_free_hop(u, rec.dst);
+      } else {
+        // Fault-adjacent node: adopt the router's full fault-aware plan
+        // from here. A reroute is counted when the fault actually deflects
+        // the packet off its fault-free table hop.
+        if (measuring &&
+            !overlay_.link_usable(u, fabric_->fault_free_hop(u, rec.dst))) {
+          ++m.reroutes;
+        }
+        std::shared_ptr<const Route> adopted =
+            router_.plan_shared(u, rec.dst);
+        if (adopted == nullptr || adopted->length() == 0 ||
+            !overlay_.link_usable(u, adopted->hops().front())) {
+          return strand();  // no usable continuation (dst dead or cut off)
+        }
+        PacketCold& cd = cold_of(rec.ref);
+        cd.plan = std::move(adopted);
+        cd.steer_next = 0;
+        rec.flags |= kPktHasPlan;
+        hop = cd.plan->hops().front();
+      }
+    }
+    c = *hop;
+  } else if ((rec.flags & kPktAdaptive) != 0) {
+    if (rec.hops >= hop_limit_) {
+      return drop_hop_limit();  // livelock guard: stepwise re-plans cycled
+    }
+    const std::optional<Dim> nh = router_.next_hop(u, rec.dst);
+    if (!nh || !overlay_.link_usable(u, *nh)) {
+      return strand();  // no usable continuation (dst dead or cut off)
+    }
+    c = *nh;
+  } else {
+    PacketCold& cd = cold_of(rec.ref);
+    c = cd.plan->hops()[rec.hops];
+    if (!overlay_.link_usable(u, c)) {
+      // The precomputed next link died under the packet: re-plan from here
+      // with current fault knowledge instead of traversing it.
+      if (measuring) ++m.reroutes;
+      rec.flags |= kPktAdaptive;
+      cd.plan_len = rec.hops;  // abandon the unconsumed planned tail
+      const std::optional<Dim> nh = router_.next_hop(u, rec.dst);
+      if (!nh || !overlay_.link_usable(u, *nh)) return strand();
+      c = *nh;
+    }
+  }
+  const std::uint32_t link = std::uint32_t{1} << c;
+  const NodeId v = flip_bit(u, c);
+  // Link busy (head-of-line blocking), or backpressure against
+  // start-of-cycle committed occupancy: the packet stays at the head,
+  // keeping what this service changed in `rec` (a dropped or adopted
+  // plan, a switch to adaptive routing).
+  if ((links_used & link) != 0 ||
+      (config_.buffer_limit != 0 && occ_[v] >= config_.buffer_limit)) {
+    return false;
+  }
+  links_used |= link;
+  if (measuring) ++m.service_ops;
+  if ((rec.flags & (kPktSteered | kPktAdaptive)) != 0) {
+    // Online-routed hop: only the audited sample records it (the audit
+    // path lives in the tail); everyone else keeps just the hop count.
+    if (rec.audited()) cold_of(rec.ref).tail.push_back(c);
+    if ((rec.flags & (kPktSteered | kPktHasPlan)) ==
+        (kPktSteered | kPktHasPlan)) {
+      PacketCold& cd = cold_of(rec.ref);
+      if (++cd.steer_next >= static_cast<std::uint32_t>(cd.plan->length())) {
+        cd.plan.reset();  // adopted plan consumed; back to table steering
+        cd.steer_next = 0;
+        rec.flags &= static_cast<std::uint16_t>(~kPktHasPlan);
+      }
+    }
+  }
+  depart(w, v, rec, parity);
+  return true;
 }
 
 void NetworkSim::phase_forward(unsigned w, Cycle now, bool measuring) {
   Shard& sh = shards_[w];
+  const unsigned parity = static_cast<unsigned>(now & 1);
   bool moved = false;
   std::chrono::steady_clock::time_point t0;
   if (timing_) t0 = std::chrono::steady_clock::now();
-  if (active_set_) {
-    // Only nodes whose bit is set can hold packets (phase-A invariant), so
-    // the ascending scan serves exactly the canonical node order the full
-    // sweep would. With unbounded buffers an emptied node is retired here
-    // on the spot; with finite ones the phase-A maintenance scan does it
-    // (occ_ is read cross-shard during this phase and may only be written
-    // at the phase-A serial-equivalent point).
-    const bool retire = config_.buffer_limit == 0;
-    if (batch_) {
-      const std::size_t words = sh.active.word_count();
-      for (std::size_t wd = 0; wd < words; ++wd) {
-        if (sh.active.word(wd) != 0) {
-          serve_word(w, wd, now, measuring, moved, retire);
+  // Busy nodes in ascending order, each serving its run of the sorted
+  // array in place: the walk reads `cur` front to back. Records that will
+  // read their cold line (planned, plan-following, audited, or at their
+  // destination) get it prefetched kColdAhead records ahead of the walk.
+  constexpr std::uint32_t kColdAhead = 8 * kPrefetchAhead;
+  // The walk's loop invariants, hoisted into locals: record stores could
+  // otherwise alias the members they come from and force reloads.
+  PacketRecord* const cur = sh.cur.data();
+  std::uint32_t* const run_end = sh.run_end.data();
+  const NodeId first = sh.begin;
+  const auto size = static_cast<std::uint32_t>(sh.cur.size());
+  const std::uint32_t service_rate = config_.service_rate;
+  const std::uint32_t hop_limit = hop_limit_;
+  const std::uint32_t buffer_limit = config_.buffer_limit;
+  const NextHopFabric* const fabric = fabric_;
+  const bool steer = steer_;
+  const bool no_faults = no_faults_;
+  std::uint64_t fast_hops = 0;  // fast-path service_ops, added at the end
+  std::uint32_t begin = 0;
+  sh.busy.for_each_set([&](std::uint64_t bit) {
+    const NodeId u = first + static_cast<NodeId>(bit);
+    const std::uint32_t end = run_end[bit];
+    run_end[bit] = 0;  // ready for the next phase A's count
+    // One service of node u: up to service_rate records from the front of
+    // its run. One packet per directed link per cycle: bit c of the mask
+    // is set once this service has sent a packet along dimension c. u is
+    // served once per cycle and owns its outgoing links, so no state
+    // outlives the service.
+    static_assert(kMaxDimension <= 32, "link mask is one 32-bit word");
+    const bool clean = steer && (no_faults || overlay_.node_clean(u));
+    std::uint32_t links_used = 0;
+    const std::uint32_t stop =
+        end - begin > service_rate ? begin + service_rate : end;
+    std::uint32_t i = begin;
+    for (; i < stop; ++i) {
+      if (i + kColdAhead < size) {
+        const PacketRecord& r = cur[i + kColdAhead];
+        if (r.reads_cold()) prefetch_read(&cold_of(r.ref));
+      }
+      PacketRecord& rec = cur[i];
+      if (clean && (rec.flags & (kPktSteered | kPktHasPlan | kPktAudited)) ==
+                       kPktSteered) {
+        // The fast path: a steered, plan-free, unaudited packet at a node
+        // with no fault within distance 1 delivers or takes the fabric's
+        // fault-free table hop — guaranteed usable, no per-link checks —
+        // without touching its cold record unless it delivers.
+        if (u == rec.dst) {
+          deliver(w, rec, now, measuring);
+          moved = true;
+          continue;
+        }
+        if (rec.hops < hop_limit) {
+          const Dim c = fabric->fault_free_hop(u, rec.dst);
+          const std::uint32_t link = std::uint32_t{1} << c;
+          const NodeId v = flip_bit(u, c);
+          if ((links_used & link) != 0 ||
+              (buffer_limit != 0 && occ_[v] >= buffer_limit)) {
+            break;  // head-of-line blocking or backpressure
+          }
+          links_used |= link;
+          ++fast_hops;
+          depart(w, v, rec, parity);
+          moved = true;
+          continue;
         }
       }
-    } else {
-      sh.active.for_each_set([&](std::uint64_t bit) {
-        const NodeId u = sh.begin + static_cast<NodeId>(bit);
-        const bool clean =
-            steer_ && (no_faults_ || overlay_.node_clean(u));
-        serve_node(w, u, now, measuring, moved, clean, kHintNone);
-        if (retire && queues_[u].size == 0) sh.active.clear(bit);
-      });
+      // Everything else takes the full decision tree.
+      if (!serve_record(w, u, clean, rec, links_used, now, measuring)) break;
+      moved = true;
     }
-  } else {
-    for (NodeId u = sh.begin; u < sh.end; ++u) {
-      const bool clean = steer_ && (no_faults_ || overlay_.node_clean(u));
-      serve_node(w, u, now, measuring, moved, clean, kHintNone);
-    }
-  }
+    // Whatever this service did not move stays queued, in order.
+    for (; i < end; ++i) sh.stays.push_back({u, cur[i]});
+    begin = end;
+  });
+  if (measuring) sh.metrics.service_ops += fast_hops;
   sh.moved = moved;
   if (timing_) {
     sh.metrics.phase_advance_ns +=
@@ -1068,7 +950,8 @@ SimMetrics NetworkSim::run() {
   // Fused cycle loop, dispatched ONCE: every worker runs the whole
   // warmup + measurement loop and meets the others only at barriers.
   // Phase A overlaps freely with other shards' phase B (parity
-  // double-buffered rings, pointer-stable pools), so the common
+  // double-buffered boxes and release rings, pointer-stable pools), so the
+  // common
   // unbounded-buffer cycle costs exactly one rendezvous — the end-of-cycle
   // barrier whose last arriver runs serial_commit. Finite buffers add the
   // mid-cycle barrier that makes the phase-A occupancy snapshot
@@ -1247,14 +1130,13 @@ void NetworkSim::serial_commit(Cycle now) noexcept {
   }
 }
 
-CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
-  const PacketHot& h = hot_of(ref);
-  const PacketCold& c = cold_of(ref);
+CheckpointPacket NetworkSim::capture_packet(const PacketRecord& rec) {
+  const PacketCold& c = cold_of(rec.ref);
   CheckpointPacket p;
-  p.dst = h.dst;
-  p.hops = h.hops;
-  p.plan_len = h.plan_len;
-  p.flags = h.flags;
+  p.dst = rec.dst;
+  p.hops = rec.hops;
+  p.plan_len = c.plan_len;
+  p.flags = rec.flags & ~kPktAtDst;  // a prefetch hint, not state
   p.id = packet_id(c.created, c.src);
   p.src = c.src;
   p.created = c.created;
@@ -1265,7 +1147,7 @@ CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
     p.plan_src = c.plan->source();
     p.plan_hops = c.plan->hops();
   }
-  if (h.audited()) {
+  if (rec.audited()) {
     p.tail_hops.reserve(c.tail.size());
     for (std::uint32_t i = 0; i < c.tail.size(); ++i) {
       p.tail_hops.push_back(c.tail[i]);
@@ -1274,8 +1156,9 @@ CheckpointPacket NetworkSim::capture_packet(PacketRef ref) {
   return p;
 }
 
-PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
-                                     const char* section) {
+PacketRecord NetworkSim::restore_packet(unsigned w, NodeId node,
+                                        const CheckpointPacket& p,
+                                        const char* section) {
   const auto need = [&](bool ok, const char* detail) {
     if (!ok) throw CheckpointError(section, detail);
   };
@@ -1314,16 +1197,16 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   need((p.flags & kPktAudited) == 0 ||
            p.hops <= p.plan_len + p.tail_hops.size(),
        "audited path shorter than hop count");
+  // The record counts hops in 16 bits; a planned packet's count runs up
+  // to its plan length.
+  need(p.hops <= kMaxPacketHops && p.plan_len <= kMaxPacketHops,
+       "hop count or plan length beyond the record's 16-bit hop field");
 
   Shard& sh = shards_[w];
   const PacketIndex slot = sh.pool.acquire();
-  PacketHot& h = sh.pool.hot(slot);
   PacketCold& c = sh.pool.cold(slot);
-  h.dst = p.dst;
-  h.hops = p.hops;
-  h.plan_len = p.plan_len;
-  h.flags = p.flags;
   c.src = p.src;
+  c.plan_len = p.plan_len;
   c.created = p.created;
   c.steer_next = p.steer_next;
   c.retry_attempts = p.retry_attempts;
@@ -1336,7 +1219,9 @@ PacketRef NetworkSim::restore_packet(unsigned w, const CheckpointPacket& p,
   }
   if ((p.flags & kPktAudited) != 0) c.tail.reserve(hop_log_reserve());
   for (const Dim d : p.tail_hops) c.tail.push_back(d);
-  return make_packet_ref(w, slot);
+  return PacketRecord{
+      make_packet_ref(w, slot), p.dst, static_cast<std::uint16_t>(p.hops),
+      static_cast<std::uint16_t>(p.flags | (node == p.dst ? kPktAtDst : 0))};
 }
 
 SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
@@ -1382,29 +1267,24 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
   ck.faulty_nodes = faults_.faulty_nodes();
   ck.faulty_links = faults_.faulty_links();
 
-  // Effective queues, shard-count independent: node u's queue contents
-  // followed by its pending mailbox arrivals in ascending source-shard
-  // (= ascending source-node) ring order — exactly the order phase A of
-  // cycle `next` would drain them. Only the parity phase A drains next
-  // can hold arrivals at this serial point; the restore leaves all rings
-  // empty with the merge pre-applied.
+  // Effective queues, shard-count independent: node u's stays followed by
+  // its pending box arrivals in ascending source-shard (= ascending
+  // source-node) order — exactly the order phase A of cycle `next` would
+  // sort them in. At this serial point one parity of each foreign box is
+  // empty, and a shard's box toward itself is parity 0; the restore puts
+  // everything in the stays with the merge pre-applied.
   ck.queues.resize(node_count_);
-  for (NodeId u = 0; u < node_count_; ++u) {
-    const NodeQueue& q = queues_[u];
-    ck.queues[u].reserve(q.size);
-    PacketRef ref = q.head;
-    for (std::uint32_t i = 0; i < q.size; ++i) {
-      ck.queues[u].push_back(capture_packet(ref));
-      if (i + 1 < q.size) ref = next_of(ref);
+  for (const Shard& sh : shards_) {
+    for (const NodeRecord& r : sh.stays) {
+      ck.queues[r.node].push_back(capture_packet(r.rec));
     }
   }
-  const unsigned parity = static_cast<unsigned>(~next & 1);
   for (const Shard& src : shards_) {
-    for (unsigned w = 0; w < shards_.size(); ++w) {
-      const Ring<Arrival>& box = src.outbox[parity][w];
-      for (std::size_t i = 0; i < box.size(); ++i) {
-        const Arrival a = box.at(i);
-        ck.queues[a.node].push_back(capture_packet(a.ref));
+    for (const auto& parity : src.box) {
+      for (const RecordList<NodeRecord>& box : parity) {
+        for (const NodeRecord& r : box) {
+          ck.queues[r.node].push_back(capture_packet(r.rec));
+        }
       }
     }
   }
@@ -1417,7 +1297,7 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
     cp.wake = wake;
     cp.node = pk.node;
     cp.respawn = pk.respawn;
-    cp.packet = capture_packet(pk.ref);
+    cp.packet = capture_packet(pk.rec);
     ck.parked.push_back(std::move(cp));
   }
 
@@ -1468,8 +1348,8 @@ SimCheckpoint NetworkSim::capture_checkpoint(Cycle next) {
 
 void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   // Semantic-parameter guard: any mismatch here would change the
-  // simulated trajectory, so refuse with the field's name. threads /
-  // SIMD / batch are deliberately NOT checked — metrics are bit-identical
+  // simulated trajectory, so refuse with the field's name. threads and
+  // the SIMD level are deliberately NOT checked — metrics are bit-identical
   // across them, which is the whole point of resuming under whatever
   // execution shape the new host offers.
   const auto match = [](bool ok, const char* field) {
@@ -1540,12 +1420,8 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
   for (NodeId u = 0; u < node_count_; ++u) {
     const unsigned w = shard_of(u);
     for (const CheckpointPacket& p : ck.queues[u]) {
-      queue_push(u, restore_packet(w, p, "packets"));
+      requeue_serial(u, restore_packet(w, u, p, "packets"));
       ++queued;
-    }
-    if (active_set_ && !ck.queues[u].empty()) {
-      Shard& sh = shards_[w];
-      sh.active.set(u - sh.begin);
     }
   }
 
@@ -1557,9 +1433,9 @@ void NetworkSim::apply_checkpoint(const SimCheckpoint& ck) {
     if (cp.node >= node_count_) {
       throw CheckpointError("parked", "parked node out of range");
     }
-    const PacketRef ref = restore_packet(shard_of(cp.node), cp.packet,
-                                         "parked");
-    parked_.emplace(cp.wake, Parked{cp.node, ref, cp.respawn});
+    const PacketRecord rec = restore_packet(shard_of(cp.node), cp.node,
+                                            cp.packet, "parked");
+    parked_.emplace(cp.wake, Parked{cp.node, rec, cp.respawn});
     if (!cp.respawn) ++parked_count_[cp.node];
     ++parked_now_;
   }

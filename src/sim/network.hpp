@@ -42,34 +42,42 @@
 // persistent ShardPool (S = SimConfig::threads, or a ThreadBudget grant
 // when 0). The ENTIRE cycle loop is one dispatched pool job: every worker
 // runs the loop locally and meets the others only at the barriers inside
-// it, so a cycle costs rendezvous, not dispatch/join handshakes. Each
-// cycle has two phases per worker:
+// it, so a cycle costs rendezvous, not dispatch/join handshakes.
 //
-//   phase A (inject): each worker reclaims packet slots other shards
-//     released from its pool, batch-drains last cycle's arrival mailboxes
-//     into its own queues (source-shard order, which equals global
-//     source-node order because shards are contiguous and ascending),
-//     injects new packets, and publishes its nodes' committed occupancy;
-//   phase B (forward): each worker serves its own queues. Every directed
-//     link is owned by its source node's shard and a node is served once
-//     per cycle, so the one-packet-per-link rule is a mask of the
-//     dimensions the current service has used; finite-buffer backpressure
-//     reads the phase-A occupancy snapshot; departures are handed to the
-//     destination shard through per-(source shard, destination shard)
-//     mailbox rings.
+// Packets are carried by value. Each in-flight packet's per-hop state is a
+// 12-byte PacketRecord (sim/packet.hpp); a shard holds the records queued
+// at its nodes in one array sorted by node, so node u's FIFO input queue is
+// the contiguous run of records ending at run_end[u]. Each cycle has two
+// phases per worker:
 //
-// Per-node queues are intrusive FIFOs: a flat array of {head, tail, size}
-// records, with the packets chained through the pools' next lanes (see
-// sim/packet_pool.hpp). A phase-A push may write the next link of a packet
-// that lives in another shard's pool; that is race-free because only the
-// owner of node u's queue touches the links of the packets queued at u,
-// and pool lanes never move.
+//   phase A (drain + inject): each worker reclaims packet slots other
+//     shards released into its pool, then rebuilds its sorted array with
+//     ONE stable counting sort by node over, in this order: the records
+//     its last phase B left queued (`stays`, with the serial point's wakes
+//     and restores appended), last cycle's departures toward its nodes in
+//     ascending source-shard order (its own box at its own position), and
+//     this cycle's injections. Shards are contiguous and ascending, so
+//     every node's run comes out in the canonical FIFO order — queue
+//     contents, woken packets, arrivals in global source-node order, the
+//     fire — independent of the shard count. An injection's buffer check
+//     reads its node's count before the fire is counted; with finite
+//     buffers the counts are also published as the occupancy snapshot;
+//   phase B (forward): each worker walks its busy-node bitmap in ascending
+//     order and serves each node's run in place, sequentially. Every
+//     directed link is owned by its source node's shard and a node is
+//     served once per cycle, so the one-packet-per-link rule is a mask of
+//     the dimensions the current service has used; finite-buffer
+//     backpressure reads the phase-A occupancy snapshot. A departure is
+//     written as {next node, record} into a box per destination shard, and
+//     the records a service leaves behind are appended to `stays`.
 //
-// Mailbox and release rings are parity double-buffered (phase B of cycle
-// N fills buffer N & 1, phase A of cycle N drains buffer ~N & 1) and the
-// packet pools use chunked, pointer-stable storage, so one shard's phase
-// A can overlap another's phase B with no data race. With unbounded
-// buffers a cycle therefore needs exactly ONE rendezvous — the
+// Departure boxes toward foreign shards and the slot-release rings are
+// parity double-buffered (phase B of cycle N fills buffer N & 1, phase A
+// of cycle N drains buffer ~N & 1), and the packet pools use chunked,
+// pointer-stable storage, so one shard's phase A can overlap another's
+// phase B with no data race. A shard's box toward itself is written and
+// drained by its own thread only, so it has a single buffer. With
+// unbounded buffers a cycle therefore needs exactly ONE rendezvous — the
 // end-of-cycle barrier, whose last arriver runs the serial commit
 // (ShardPool::barrier_serial) before opening the gate. Finite-buffer runs
 // add one mid-cycle barrier so backpressure reads a consistent phase-A
@@ -77,14 +85,17 @@
 //
 // Fault-schedule application, fault-overlay refresh, and global
 // accounting (in-flight depth, stall detection) happen in that fused
-// serial commit. Every per-node decision therefore depends only on
-// start-of-cycle committed state, per-(node, cycle) counter RNG draws
-// (util/rng.hpp), and canonical queue order — so for a fixed seed, the
-// full SimMetrics (latency histogram included) are bit-identical for ANY
-// thread count, including 1. That contract is enforced by the determinism
-// test and lets the threads knob be a pure wall-clock choice.
+// serial commit. There every in-flight packet is in a `stays` array, in a
+// departure box, or parked, so the serial-point code (node-death discards,
+// parked wakes, stranded commits, checkpoints) works on those three. Every
+// per-node decision depends only on start-of-cycle committed state,
+// per-(node, cycle) counter RNG draws (util/rng.hpp), and canonical queue
+// order — so for a fixed seed, the full SimMetrics (latency histogram
+// included) are bit-identical for ANY thread count, including 1. That
+// contract is enforced by the determinism test and lets the threads knob
+// be a pure wall-clock choice.
 //
-// Hot-path machinery (both on by default, SimConfig toggles):
+// Hot-path machinery:
 //
 //  * Next-hop fabric steering (SimConfig::fabric, effective when the
 //    router exposes a supported NextHopFabric): packets are injected with
@@ -98,29 +109,23 @@
 //    per-hop virtual topology/fault-hash queries from the fault-free
 //    common case. The overlay is refreshed at the serial points, so
 //    dynamic fault schedules work unchanged.
-//  * Active-set cycle loop (SimConfig::active_set): each shard keeps a
-//    bitmap of nodes holding or receiving packets plus a timing wheel of
-//    pending injection fire times drawn from TrafficModel::injection_gap,
-//    so a cycle costs O(active nodes + handoffs + due injections) instead
-//    of O(all nodes). Draws stay pure per-(node, cycle) functions, a
-//    cycle's fires commute (each touches only its own node's queue), and
-//    the bitmap scan is ascending, preserving the determinism contract; the
+//  * Sequential service walk: the records of consecutive busy nodes are
+//    adjacent, so phase B streams through the sorted array and the boxes
+//    instead of chasing a pointer per packet. The steered fault-free
+//    packet — arrival test, table hop, link mask, box append — never
+//    touches its cold record; records that will read theirs (planned,
+//    plan-following, audited, or handed to their destination) have it
+//    prefetched a fixed distance ahead of the walk.
+//  * Active-set injection (SimConfig::active_set): each shard keeps a
+//    timing wheel of pending injection fire times drawn from
+//    TrafficModel::injection_gap, so a cycle's injection work is O(due
+//    fires) instead of O(all nodes), and the service walk and the sort
+//    cost O(busy nodes + handoffs) plus a bitmap sweep. Draws stay pure
+//    per-(node, cycle) functions and a cycle's fires commute (each touches
+//    only its own node's count), preserving the determinism contract; the
 //    gap-scheduled injection realization differs from the per-cycle
 //    Bernoulli scan (same distribution, different draw-stream layout), so
 //    metrics are comparable but not bit-equal across the toggle itself.
-//  * Batched advance (SimConfig::batch, rides on the active set): phase B
-//    consumes the active bitmap a word at a time. Each 64-node window is
-//    harvested with its front packets' 16-byte hot records prefetched,
-//    classified (arrived / steered fast path / everything else), fed to
-//    NextHopFabric::fault_free_hops as one tight lookup batch with the
-//    clean-node test answered from a single FaultOverlay::clean_window
-//    word — and then APPLIED strictly in ascending node order, because
-//    outbox push order is the canonical order the determinism contract
-//    rests on. Within phase B node services are mutually independent
-//    (a service's link mask is local to it; every handoff — intra-shard
-//    included — travels through the parity mailboxes), so the read-only
-//    harvest/classify passes commute with the applies and the batched
-//    loop is BIT-IDENTICAL to the scalar scan for any thread count.
 //
 // Two deliberate semantic refinements versus the old serial-only core,
 // both required for order-independence (and covered by the contract):
@@ -174,7 +179,8 @@ struct SimConfig {
   std::uint32_t buffer_limit = 0;
   /// Dynamic-fault mode livelock guard: an adaptively re-routed packet
   /// that has taken this many hops is dropped (stepwise re-plans are not
-  /// guaranteed monotone under faults). 0 = auto (16 * dims + 64).
+  /// guaranteed monotone under faults). 0 = auto (16 * dims + 64). At most
+  /// 65535, the width of a packet record's hop count.
   std::uint32_t reroute_hop_limit = 0;
   /// Transient-fault recovery: how many times a stranded packet (no usable
   /// continuation at its current node) is parked for a backoff retry
@@ -213,16 +219,6 @@ struct SimConfig {
   /// comment). Off = the full per-node scan with per-cycle Bernoulli
   /// injection draws (bit-compatible with earlier versions).
   bool active_set = true;
-  /// Batched phase-B advance (effective only with active_set): each active
-  /// bitmap word is harvested into a 64-node batch whose front-packet hot
-  /// records are prefetched, arrival/fast-path classified, fabric table
-  /// hops looked up in one tight loop, and clean-node checks answered from
-  /// one 64-bit overlay window — then applied in ascending node order, so
-  /// metrics are BIT-IDENTICAL to the scalar scan (unlike the active_set
-  /// toggle, which changes injection draw-stream layout). Off = scalar
-  /// per-node scan; also forced off by the GCUBE_SIM_NO_BATCH environment
-  /// variable (the `sim_cli --no-batch` / CI equivalence escape hatch).
-  bool batch = true;
   /// Accumulate per-phase wall-clock attribution into
   /// SimMetrics::phase_*_ns (bench instrumentation; adds steady_clock
   /// reads to the cycle loop, so timed runs leave it off).
@@ -239,7 +235,7 @@ struct SimConfig {
   /// Resume from this checkpoint file instead of starting at cycle 0
   /// (falling back to its previous generation when it is corrupt or
   /// truncated). The semantic configuration must match the checkpoint's
-  /// recorded parameters — threads / SIMD / batch may differ freely — or
+  /// recorded parameters — threads and SIMD level may differ freely — or
   /// run() throws a CheckpointError naming the mismatched field.
   std::string resume_from;
   /// Crash-fault injection: hard std::_Exit(137) — no unwinding, no
@@ -286,38 +282,50 @@ class NetworkSim {
   [[nodiscard]] SimMetrics run();
 
  private:
-  /// A packet in transit to another shard's node, parked in a mailbox
-  /// until the destination shard drains it at the next phase A.
-  struct Arrival {
-    NodeId node = 0;
-    PacketRef ref = 0;
+  /// A packet record tagged with the node it is queued at or headed to:
+  /// the unit of the departure boxes, `stays` and the stranded list.
+  struct NodeRecord {
+    NodeId node;
+    PacketRecord rec;
   };
 
   /// Everything one worker owns, cache-line-aligned so two workers'
   /// accumulators never share a line. Workers touch only their own shard
   /// during a phase, except for the cross-shard reads the phase structure
-  /// makes safe (mailbox drains and packet dereferences in the phase that
-  /// cannot race them).
+  /// makes safe (box and release-ring drains, cold-record dereferences in
+  /// the phase that cannot race them).
   struct alignas(64) Shard {
     NodeId begin = 0;  // nodes [begin, end) — contiguous, ascending
     NodeId end = 0;
     PacketPool pool;         // grown/released by the owner thread only
     SimMetrics metrics;      // per-shard partial, absorbed after the run
-    /// Cross-shard handoffs, one ring per destination shard, parity
-    /// double-buffered: phase B of cycle N fills [N & 1], phase A of
-    /// cycle N drains [~N & 1] — so one shard's phase A never touches the
-    /// ring another shard's phase B is filling.
-    std::array<std::vector<Ring<Arrival>>, 2> outbox;
-    /// Foreign packet slots freed in phase B, rings addressed by the
-    /// slot's home shard and drained by that shard's next phase A into
-    /// its own pool (same parity scheme as outbox).
-    std::array<std::vector<Ring<PacketRef>>, 2> released;
-    /// Active-set mode: bit (u - begin) set iff node u may hold packets.
-    /// Set on every queue push (mailbox drain, injection admit); cleared
-    /// once the queue is empty — by phase B itself with unbounded buffers,
-    /// by the phase-A maintenance scan (which must also publish occupancy)
-    /// with finite ones. A non-empty queue always has its bit set.
-    NodeBitmap active;
+    /// This cycle's queued records, sorted by node (stable, so each node's
+    /// run is its FIFO queue, front first). Rebuilt by every phase A,
+    /// consumed by phase B.
+    RecordList<PacketRecord> cur;
+    /// Bit (u - begin) set iff node u has a non-empty run in `cur`.
+    NodeBitmap busy;
+    /// run_end[u - begin]: one past the last record of node u's run in
+    /// `cur` — meaningful for busy nodes only. Phase A's counting sort
+    /// uses the same slot for the count and then the start offset; phase
+    /// B zeroes it as it serves the run, so every slot is 0 again when the
+    /// next phase A starts counting.
+    std::vector<std::uint32_t> run_end;
+    /// Records phase B left queued, in service order (ascending node, FIFO
+    /// within a node); the serial point appends wakes and restores. The
+    /// next phase A sorts them in first.
+    RecordList<NodeRecord> stays;
+    /// Departures by destination shard. Toward a foreign shard d, phase B
+    /// of cycle N fills box[N & 1][d] and d's phase A of cycle N + 1
+    /// drains it; the box toward this shard is box[0][own index] whatever
+    /// the parity, since the same thread fills and drains it.
+    std::array<std::vector<RecordList<NodeRecord>>, 2> box;
+    /// This cycle's injections, in fire order (phase A scratch).
+    RecordList<NodeRecord> fresh;
+    /// Foreign packet slots freed in phase B, addressed by the slot's home
+    /// shard and drained by that shard's next phase A into its own pool
+    /// (same parity scheme as the foreign boxes).
+    std::array<std::vector<RecordList<PacketRef>>, 2> released;
     /// Pending injection fire times: a timing wheel of kWheelSize cycle
     /// buckets (O(1) schedule/drain; unambiguous because every wheel entry
     /// lies within kWheelSize cycles of now) with a far heap for the rare
@@ -339,7 +347,7 @@ class NetworkSim {
     /// Recovery mode: packets that found no usable continuation this
     /// cycle, in service order (= ascending node order). Drained at the
     /// serial commit into the park / retransmit / give-up decision.
-    Ring<Arrival> stranded;
+    RecordList<NodeRecord> stranded;
     std::uint64_t injected = 0;  // this cycle
     std::uint64_t removed = 0;   // delivered + dropped this cycle
     bool moved = false;          // any service progress this cycle
@@ -357,58 +365,42 @@ class NetworkSim {
   void attach_schedule(FaultSet& faults, const FaultSchedule& schedule);
 
   /// Resolves the worker count and (re)builds all run state: shards with
-  /// balanced contiguous node ranges and empty queues.
+  /// balanced contiguous node ranges and nothing queued.
   void configure_shards(unsigned shard_count);
   [[nodiscard]] unsigned shard_of(NodeId u) const noexcept;
-  [[nodiscard]] PacketHot& hot_of(PacketRef ref) noexcept {
-    return shards_[packet_ref_shard(ref)].pool.hot(packet_ref_slot(ref));
-  }
   [[nodiscard]] PacketCold& cold_of(PacketRef ref) noexcept {
     return shards_[packet_ref_shard(ref)].pool.cold(packet_ref_slot(ref));
   }
-  [[nodiscard]] PacketRef& next_of(PacketRef ref) noexcept {
-    return shards_[packet_ref_shard(ref)].pool.next(packet_ref_slot(ref));
+  /// The box worker w fills toward shard d in the cycle with parity
+  /// `parity` (and that d's next phase A drains).
+  [[nodiscard]] RecordList<NodeRecord>& box_of(unsigned w, unsigned d,
+                                               unsigned parity) noexcept {
+    return shards_[w].box[w == d ? 0 : parity][d];
   }
-
-  /// One node's FIFO input queue, intrusive through the pools' next lanes:
-  /// head and tail are kNoPacket exactly when size is 0.
-  struct NodeQueue {
-    PacketRef head = kNoPacket;
-    PacketRef tail = kNoPacket;
-    std::uint32_t size = 0;
-  };
-  static_assert(sizeof(NodeQueue) == 12, "queue records stay 12 bytes");
-  /// Appends `ref` to node u's queue. Writes the old tail's next link only
-  /// when the queue is non-empty. Owner of u only (or a serial point).
-  void queue_push(NodeId u, PacketRef ref) noexcept {
-    NodeQueue& q = queues_[u];
-    if (q.size == 0) {
-      q.head = ref;
-    } else {
-      next_of(q.tail) = ref;
+  /// Drops the plan refcount and hop log a leaving packet's cold record
+  /// holds; touches the cold record only when the flags say it holds one.
+  void drop_resources(const PacketRecord& rec) noexcept {
+    if ((rec.flags & (kPktHasPlan | kPktAudited)) != 0) {
+      PacketCold& c = cold_of(rec.ref);
+      c.plan.reset();
+      c.tail.release();
     }
-    q.tail = ref;
-    ++q.size;
   }
-  /// Unlinks and returns the front of a non-empty queue. Reads the front's
-  /// next link only when another packet stays behind it.
-  PacketRef queue_pop(NodeQueue& q) noexcept {
-    const PacketRef ref = q.head;
-    if (--q.size == 0) {
-      q.head = kNoPacket;
-      q.tail = kNoPacket;
-    } else {
-      q.head = next_of(ref);
-    }
-    return ref;
+  /// Frees a packet from worker w's phase B of the cycle with parity
+  /// `parity`: its resources here, its slot directly when w owns the pool,
+  /// via the released ring (drained by the home shard's next phase A) when
+  /// it does not.
+  void release_ref(unsigned w, const PacketRecord& rec, unsigned parity);
+  /// Frees a packet at a serial point, straight into its home pool.
+  void release_serial(const PacketRecord& rec);
+  /// Queues `rec` at node u from a serial point: appended to the stays of
+  /// u's shard, behind whatever u already holds.
+  void requeue_serial(NodeId u, const PacketRecord& rec) {
+    shards_[shard_of(u)].stays.push_back({u, rec});
   }
-  /// Frees a packet slot from worker w's phase B of the cycle with parity
-  /// `parity`: directly when w owns the slot's pool, via the released
-  /// ring (drained by the home shard's next phase A) when it does not.
-  void release_ref(unsigned w, PacketRef ref, unsigned parity);
 
   /// Applies every schedule event due at `now` (serial point), orphans
-  /// packets queued at — or in a mailbox toward — nodes that just died,
+  /// packets queued at — or in a box toward — nodes that just died,
   /// re-arms injection at repaired nodes, and refreshes the fault overlay.
   void apply_fault_events(Cycle now, bool measuring);
   /// Serial point: re-offers every parked packet whose wake time is due —
@@ -416,7 +408,7 @@ class NetworkSim {
   /// source — in deterministic (wake cycle, park order) order. Runs after
   /// apply_fault_events so same-cycle repairs are visible to the retry.
   void wake_parked(Cycle now, bool measuring);
-  /// Serial point: drains the shards' stranded rings (ascending shard =
+  /// Serial point: drains the shards' stranded lists (ascending shard =
   /// ascending node order) into parked retries, retransmits, or give-ups.
   /// Adds packets permanently removed here to `gave_up_removed`.
   void commit_stranded(Cycle now, bool measuring,
@@ -424,10 +416,17 @@ class NetworkSim {
   /// Active-set mode: files a fresh injection fire for a just-repaired
   /// node whose previous fire was consumed while it was faulty.
   void rearm_injection(NodeId u, Cycle now);
-  /// Phase A: drain arrival mailboxes, inject, publish occupancy.
+  /// Phase A: reclaim slots, sort stays + arrivals + injections by node,
+  /// publish occupancy.
   void phase_inject(unsigned w, Cycle now, bool measuring);
-  /// Phase B: serve queues, forward/deliver/drop, fill mailboxes.
+  /// Phase B: walk the busy nodes, forward/deliver/drop, fill the boxes.
   void phase_forward(unsigned w, Cycle now, bool measuring);
+  /// Counts one record toward node u's run in phase A's counting sort.
+  static void count_record(Shard& sh, NodeId u) noexcept {
+    const NodeId i = u - sh.begin;
+    ++sh.run_end[i];
+    sh.busy.set(i);
+  }
   /// Injects one packet u -> dst (offered-load + buffer accounting
   /// included); shared by the Bernoulli scan and the gap-scheduled path.
   void admit_packet(unsigned w, NodeId u, NodeId dst, Cycle now,
@@ -444,31 +443,45 @@ class NetworkSim {
   [[nodiscard]] std::uint32_t hop_log_reserve() const noexcept {
     return 2 * static_cast<std::uint32_t>(dims_);
   }
+  /// The router's plan u -> dst for a packet that will consume it from its
+  /// first hop (planned injection, planned relaunch), or null when the
+  /// router has none. Throws std::invalid_argument on a plan longer than
+  /// kMaxPacketHops: its hop cursor would not fit the record.
+  [[nodiscard]] std::shared_ptr<const Route> plan_from(NodeId u,
+                                                       NodeId dst) const;
   /// Consumes a due injection fire at u: draws the destination, admits the
   /// packet, and reschedules from the gap distribution. `key` is
   /// counter_key(seed, u, now) — precomputed so the fire bucket can batch
   /// the keying in SIMD lanes.
   void fire_injection(unsigned w, NodeId u, Cycle now, std::uint64_t key,
                       bool measuring);
-  /// First-packet hints precomputed by the batched pass for serve_node:
-  /// either "already at its destination", or the usable fabric hop the
-  /// batch lookup produced (any value below kHintArrived — dimensions are
-  /// < kMaxDimension), or "no precomputation, take the full path".
-  static constexpr std::uint32_t kHintNone = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kHintArrived = 0xFFFFFFFEu;
-
-  /// Serves node u's queue for one cycle (the per-node body of phase B).
-  /// `clean` is the hoisted steering precondition for u (steer_ && no
-  /// fault within distance 1); `hint` applies to the FRONT packet only.
-  void serve_node(unsigned w, NodeId u, Cycle now, bool measuring,
-                  bool& moved, bool clean, std::uint32_t hint);
-  /// Batched phase-B advance over one active-bitmap word (see
-  /// SimConfig::batch): harvest + prefetch, classify, batched fabric
-  /// lookups, then apply via serve_node in ascending node order.
-  void serve_word(unsigned w, std::size_t word_index, Cycle now,
-                  bool measuring, bool& moved, bool retire);
-  /// Releases every packet queued at or in transit to `u` (serial point).
-  std::size_t discard_packets_at(NodeId u);
+  /// Delivers `rec`: the audited replay check, the delivery accounting,
+  /// and the release.
+  void deliver(unsigned w, const PacketRecord& rec, Cycle now,
+               bool measuring);
+  /// The full per-packet decision tree of one service at u: deliver, drop,
+  /// strand, or pick a hop and depart unless its link is taken
+  /// (`links_used`) or its next node is full. Returns false when the
+  /// packet is blocked, leaving in `rec` what the decision changed.
+  bool serve_record(unsigned w, NodeId u, bool clean, PacketRecord& rec,
+                    std::uint32_t& links_used, Cycle now, bool measuring);
+  /// Hands `rec`, one hop further, to next node v: into worker w's box
+  /// toward v's shard.
+  void depart(unsigned w, NodeId v, PacketRecord rec, unsigned parity) {
+    ++rec.hops;
+    rec.flags = static_cast<std::uint16_t>((rec.flags & ~kPktAtDst) |
+                                           (v == rec.dst ? kPktAtDst : 0));
+    Shard& sh = shards_[w];
+    if (v - sh.begin < sh.end - sh.begin) {
+      sh.box[0][w].push_back({v, rec});
+    } else {
+      sh.box[parity][shard_of(v)].push_back({v, rec});
+    }
+  }
+  /// Releases every packet queued at or in transit to a node in `dead`
+  /// (sorted, serial point) in one pass over the stays and the boxes;
+  /// returns how many.
+  std::size_t discard_packets_at(const std::vector<NodeId>& dead);
 
   /// Node index width inside a far-fire key; node_count <= 2^kMaxDimension
   /// by construction, leaving 64 - kFireNodeBits bits of cycle headroom.
@@ -489,10 +502,10 @@ class NetworkSim {
 
   /// Captures the full run state at the serial point entering cycle
   /// `next`, in canonical shard-count-independent form: per-node
-  /// effective queues (queue contents + pending mailbox arrivals in
-  /// phase-A drain order), parked entries in wake order, pending fires as
-  /// absolute (cycle, node), fault state, and the folded metrics. See
-  /// sim/checkpoint.hpp.
+  /// effective queues (the node's stays followed by its pending box
+  /// arrivals in phase-A drain order), parked entries in wake order,
+  /// pending fires as absolute (cycle, node), fault state, and the folded
+  /// metrics. See sim/checkpoint.hpp.
   [[nodiscard]] SimCheckpoint capture_checkpoint(Cycle next);
   /// Rebuilds run state from a loaded checkpoint (must run after
   /// configure_shards, before the overlay refresh and the cycle loop).
@@ -501,11 +514,13 @@ class NetworkSim {
   void apply_checkpoint(const SimCheckpoint& ck);
   /// Serializes / rematerializes one packet. `w` is the pool shard the
   /// restored slot is acquired from (serial-point call, so touching any
-  /// pool is safe); `section` names the checkpoint section for errors.
-  [[nodiscard]] CheckpointPacket capture_packet(PacketRef ref);
-  [[nodiscard]] PacketRef restore_packet(unsigned w,
-                                         const CheckpointPacket& p,
-                                         const char* section);
+  /// pool is safe); `node` is where it is queued or parked (it sets the
+  /// at-destination hint); `section` names the checkpoint section for
+  /// errors.
+  [[nodiscard]] CheckpointPacket capture_packet(const PacketRecord& rec);
+  [[nodiscard]] PacketRecord restore_packet(unsigned w, NodeId node,
+                                            const CheckpointPacket& p,
+                                            const char* section);
 
   /// The fused per-cycle serial section, run by the LAST worker arriving
   /// at the end-of-cycle barrier (ShardPool::barrier_serial): collects
@@ -533,15 +548,12 @@ class NetworkSim {
   const NextHopFabric* fabric_ = nullptr;
   bool steer_ = false;       // config_.fabric && fabric_ != nullptr
   bool active_set_ = false;  // config_.active_set
-  /// config_.batch && active_set_, unless GCUBE_SIM_NO_BATCH is set in the
-  /// environment (CI equivalence runs force the scalar scan process-wide).
-  bool batch_ = false;
   bool timing_ = false;      // config_.phase_timing
-  /// Dispatch level for the vector kernels (classify, fabric batch lookup,
-  /// counter-RNG batches), snapshotted from simd_level() at construction
-  /// so the hot loops take a plain branch instead of an atomic load. All
-  /// levels produce bit-identical metrics (GCUBE_SIMD / --simd / the
-  /// determinism sweep select between them).
+  /// Dispatch level for the vector kernels (counter-RNG batches),
+  /// snapshotted from simd_level() at construction so the hot loops take a
+  /// plain branch instead of an atomic load. All levels produce
+  /// bit-identical metrics (GCUBE_SIMD / --simd / the determinism sweep
+  /// select between them).
   SimdLevel simd_ = SimdLevel::kScalar;
   /// True while the fault set is empty; refreshed at the serial points.
   /// Lets steering skip the per-node overlay loads entirely on fault-free
@@ -549,7 +561,6 @@ class NetworkSim {
   bool no_faults_ = false;
   Cycle total_cycles_ = 0;   // warmup + measure, for fire scheduling
   std::vector<Shard> shards_;
-  std::vector<NodeQueue> queues_;  // per-node FIFO, owner-shard only
   std::vector<std::uint32_t> occ_;  // phase-A occupancy snapshot
   SimMetrics metrics_;  // serial/global fields; shard partials absorbed in
   std::uint64_t in_flight_ = 0;
@@ -559,7 +570,7 @@ class NetworkSim {
   bool retries_ = false;  // retry_limit > 0 || retry_budget > 0
   struct Parked {
     NodeId node = 0;     // where the packet resumes (strand node or src)
-    PacketRef ref = 0;
+    PacketRecord rec{};
     bool respawn = false;  // end-to-end retransmit: reset route state
   };
   std::multimap<Cycle, Parked> parked_;

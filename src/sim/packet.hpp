@@ -1,19 +1,22 @@
-// Packet representation for the network simulator: a structure-of-arrays
-// hot/cold split.
+// Packet representation for the network simulator: a by-value per-hop
+// record plus a pooled cold record.
 //
-// The cycle loop touches every in-flight packet once per hop, so the
-// fields it reads there are segregated into a 16-byte PacketHot record —
-// destination, hop cursor, planned-prefix length, and a flag byte — four
-// to a cache line in the pool's hot lane. Everything else (source,
-// creation cycle, the shared route plan, retry/retransmit counters, the
-// audit hop log) lives in a parallel one-cache-line PacketCold record
-// touched only at injection, near faults (plan adoption / adaptive
-// re-planning), on the audited delivery-replay sample, and at delivery
-// accounting — never on the steered fault-free fast path. A packet's id is
-// not stored: it is created · node_count + src, unique without a shared
-// counter, and derived where it is needed (the audit flag, checkpoints).
+// The cycle loop touches every in-flight packet once per hop, so the fields
+// it reads there form a 12-byte PacketRecord — pool reference, destination,
+// hop count, flags — which the simulator carries BY VALUE in per-shard
+// arrays sorted by node (sim/network.hpp): a service reads and writes the
+// records of consecutive nodes sequentially, with no pointer to chase.
+// Everything else (source, creation cycle, the shared route plan and its
+// consumed length, retry/retransmit counters, the audit hop log) lives in
+// the one-cache-line PacketCold record the reference names in its pool,
+// touched only at injection, by planned or plan-following packets, near
+// faults (plan adoption / adaptive re-planning), on the audited
+// delivery-replay sample, and at delivery accounting — never on the
+// steered fault-free fast path. A packet's id is not stored: it is
+// created · node_count + src, unique without a shared counter, and derived
+// where it is needed (the audit flag, checkpoints).
 //
-// A packet no longer owns its source route: PacketCold::plan holds shared
+// A packet does not own its source route: PacketCold::plan holds shared
 // ownership of an immutable Route produced by the router's plan cache, so
 // injection is a refcount bump instead of a hop-vector copy. A packet that
 // goes adaptive (its precomputed next link died mid-flight) stops
@@ -22,12 +25,13 @@
 // release. The recorded path is plan[0, plan_len) ++ tail, which the
 // simulator replays at delivery as a safety check on the deterministic
 // 1-in-64 audited sample; non-audited packets keep only the hop COUNT
-// (PacketHot::hops) and an empty log handle, so the common case pays no
+// (PacketRecord::hops) and an empty log handle, so the common case pays no
 // per-hop store and no allocation.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "routing/route.hpp"
@@ -36,6 +40,29 @@
 namespace gcube {
 
 using Cycle = std::uint64_t;
+
+/// Pool-tagged packet reference: owning pool shard in the top bits, slot
+/// index below. 8 shard bits bound the simulator at 256 worker shards; the
+/// slot field bounds each pool at PacketPool::kMaxSlots live packets,
+/// enforced by PacketPool::acquire.
+using PacketRef = std::uint32_t;
+using PacketIndex = std::uint32_t;
+
+inline constexpr unsigned kPacketRefShardShift = 24;
+inline constexpr PacketRef kPacketRefSlotMask =
+    (PacketRef{1} << kPacketRefShardShift) - 1;
+inline constexpr unsigned kMaxPoolShards = 1u << (32 - kPacketRefShardShift);
+
+[[nodiscard]] constexpr PacketRef make_packet_ref(unsigned shard,
+                                                  PacketIndex slot) noexcept {
+  return (static_cast<PacketRef>(shard) << kPacketRefShardShift) | slot;
+}
+[[nodiscard]] constexpr unsigned packet_ref_shard(PacketRef r) noexcept {
+  return r >> kPacketRefShardShift;
+}
+[[nodiscard]] constexpr PacketIndex packet_ref_slot(PacketRef r) noexcept {
+  return r & kPacketRefSlotMask;
+}
 
 /// Append-only log of an audited packet's online hops, one byte per hop.
 /// Heap-only: an empty log is a null handle, the state of every packet
@@ -76,28 +103,34 @@ class HopLog {
   std::uint32_t capacity_ = 0;
 };
 
-// PacketHot::flags bits. kPktHasPlan mirrors PacketCold::plan != nullptr so
-// the fast path can rule out an adopted plan without touching the cold
+// PacketRecord::flags bits. kPktHasPlan mirrors PacketCold::plan != nullptr
+// so the fast path can rule out an adopted plan without touching the cold
 // record; kPktAudited precomputes (id & 63) == 0 for the same reason, and
-// marks the cold record as owning a hop log.
+// marks the cold record as owning a hop log. kPktAtDst is a prefetch hint,
+// not state: set when the packet was handed to its destination node, so the
+// service walk can load the cold record delivery will read ahead of time.
+// Checkpoints leave it out and restores recompute it.
 inline constexpr std::uint32_t kPktSteered = 1u << 0;
 inline constexpr std::uint32_t kPktAdaptive = 1u << 1;
 inline constexpr std::uint32_t kPktHasPlan = 1u << 2;
 inline constexpr std::uint32_t kPktAudited = 1u << 3;
+inline constexpr std::uint32_t kPktAtDst = 1u << 4;
 
-/// The per-hop working set of one in-flight packet: everything the
-/// steered fault-free fast path reads or writes, and nothing else.
-/// Exactly 16 bytes — four packets per cache line in the pool's hot lane.
-struct PacketHot {
-  NodeId dst = 0;
+/// Hop counts and plan lengths fit the record's 16-bit hop field: the
+/// simulator refuses a livelock guard or a router plan above this.
+inline constexpr std::uint32_t kMaxPacketHops =
+    std::numeric_limits<std::uint16_t>::max();
+
+/// The per-hop working set of one in-flight packet, carried by value:
+/// everything the steered fault-free fast path reads or writes, and the
+/// reference to the rest. Exactly 12 bytes.
+struct PacketRecord {
+  PacketRef ref;
+  NodeId dst;
   /// Hops already taken (the cursor into the recorded path). For a planned
   /// packet this doubles as the index of the next plan hop to consume.
-  std::uint32_t hops = 0;
-  /// Hops [0, plan_len) of the recorded path come from *cold.plan; an
-  /// adaptive packet truncates this to the hops actually traversed before
-  /// the re-plan. Steered packets launch with 0 (no plan at all).
-  std::uint32_t plan_len = 0;
-  std::uint32_t flags = 0;  // kPkt* bits
+  std::uint16_t hops;
+  std::uint16_t flags;  // kPkt* bits
 
   /// kSteered: fabric-steered packet, injected with NO plan, routed by
   /// per-hop table lookups at clean nodes and by an adopted router plan
@@ -117,8 +150,14 @@ struct PacketHot {
   [[nodiscard]] bool audited() const noexcept {
     return (flags & kPktAudited) != 0;
   }
+  /// Whether serving this packet will read its cold record: anything but a
+  /// steered, plan-free, unaudited packet short of its destination.
+  [[nodiscard]] bool reads_cold() const noexcept {
+    return (flags & kPktSteered) == 0 ||
+           (flags & (kPktHasPlan | kPktAudited | kPktAtDst)) != 0;
+  }
 };
-static_assert(sizeof(PacketHot) == 16, "hot lane record must stay 16 bytes");
+static_assert(sizeof(PacketRecord) == 12, "packet records stay 12 bytes");
 
 /// Everything else: touched at injection, delivery, fault adjacency, and
 /// on the audited sample — off the per-hop fast path by construction.
@@ -129,6 +168,11 @@ struct alignas(64) PacketCold {
   /// NOT part of plan_len — they land in `tail`.
   std::uint32_t steer_next = 0;
   Cycle created = 0;
+  /// Hops [0, plan_len) of the recorded path come from *plan; an adaptive
+  /// packet truncates this to the hops actually traversed before the
+  /// re-plan. Steered packets launch with 0 (no plan at all). Read only by
+  /// planned and adaptive packets, which read `plan` on every hop anyway.
+  std::uint32_t plan_len = 0;
   /// Source route: the cached immutable plan computed at injection (the
   /// paper's O(n) header), shared with the router's plan cache and any
   /// other packet on the same (src, dst) pair — or a plan adopted
@@ -145,12 +189,12 @@ struct alignas(64) PacketCold {
 };
 static_assert(sizeof(PacketCold) == 64, "cold lane record is one cache line");
 
-/// The i-th hop of an audited packet's recorded path (i < hot.hops, or
+/// The i-th hop of an audited packet's recorded path (i < hops, or
 /// i < plan_len for the not-yet-traversed planned suffix).
-[[nodiscard]] inline Dim packet_hop_at(const PacketHot& hot,
-                                       const PacketCold& cold,
+[[nodiscard]] inline Dim packet_hop_at(const PacketCold& cold,
                                        std::uint32_t i) {
-  return i < hot.plan_len ? cold.plan->hops()[i] : cold.tail[i - hot.plan_len];
+  return i < cold.plan_len ? cold.plan->hops()[i]
+                           : cold.tail[i - cold.plan_len];
 }
 
 }  // namespace gcube

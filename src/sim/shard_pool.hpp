@@ -22,7 +22,7 @@
 // when nobody is parked. All handshakes are release/acquire pairs, so
 // everything a worker wrote before arriving at a barrier is visible to
 // every worker after it — the property the simulator's cross-shard
-// mailbox reads rely on, and what ThreadSanitizer checks end to end.
+// departure-box reads rely on, and what ThreadSanitizer checks end to end.
 #pragma once
 
 #include <atomic>

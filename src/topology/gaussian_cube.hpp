@@ -49,7 +49,7 @@ class GaussianCube final : public Topology {
   /// Every dimension in which u has a link, as a bitmask (bit c set iff
   /// has_link(u, c)). Link existence depends only on the low alpha bits, so
   /// this is one lookup in a 2^alpha-entry table.
-  [[nodiscard]] std::uint32_t link_mask(NodeId u) const noexcept {
+  [[nodiscard]] std::uint32_t link_mask(NodeId u) const noexcept override {
     return link_mask_[low_bits(u, alpha_)];
   }
 

@@ -14,6 +14,16 @@ std::vector<Dim> Topology::link_dims(NodeId u) const {
   return out;
 }
 
+std::uint32_t Topology::link_mask(NodeId u) const noexcept {
+  static_assert(kMaxDimension <= 32, "a link mask is one 32-bit word");
+  std::uint32_t mask = 0;
+  const Dim n = dims();
+  for (Dim c = 0; c < n; ++c) {
+    if (has_link(u, c)) mask |= std::uint32_t{1} << c;
+  }
+  return mask;
+}
+
 Dim Topology::degree(NodeId u) const {
   Dim deg = 0;
   const Dim n = dims();

@@ -29,6 +29,11 @@ class Topology {
   /// has_link(u ^ (1<<c), c). Preconditions: u < node_count(), c < dims().
   [[nodiscard]] virtual bool has_link(NodeId u, Dim c) const noexcept = 0;
 
+  /// Every dimension in which `u` has a link, as a bitmask: bit c set iff
+  /// has_link(u, c). The default asks has_link once per dimension;
+  /// topologies with a closed form override it.
+  [[nodiscard]] virtual std::uint32_t link_mask(NodeId u) const noexcept;
+
   /// Human-readable name, e.g. "GC(10,4)".
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -65,6 +70,9 @@ class Hypercube final : public Topology {
   [[nodiscard]] Dim dims() const noexcept override { return n_; }
   [[nodiscard]] bool has_link(NodeId, Dim) const noexcept override {
     return true;
+  }
+  [[nodiscard]] std::uint32_t link_mask(NodeId) const noexcept override {
+    return static_cast<std::uint32_t>(low_mask(n_));
   }
   [[nodiscard]] std::string name() const override;
 

@@ -30,6 +30,8 @@
 #include "sim/network.hpp"
 #include "topology/gaussian_cube.hpp"
 
+#include "golden_cells.hpp"
+
 namespace gcube {
 namespace {
 
@@ -174,6 +176,53 @@ TEST(Checkpoint, ResumeMatrixIsBitIdenticalToUninterruptedRun) {
             << leg.halt_threads << "->" << leg.resume_threads;
         remove_generations(path);
       }
+    }
+  }
+}
+
+// The link-conflict golden cell (rate 0.3, four services per node) halted
+// while its queues are deep and heads wait on links a packet ahead of them
+// already took: the checkpoint must carry every queue in order, and the
+// resumed run, under another worker count, must hash to the cell's golden
+// digest.
+TEST(Checkpoint, GoldenLinkConflictResumesFromDeepQueues) {
+  constexpr std::uint64_t kLinkConflictDigest = 0x761d91ce8d86cdb3ULL;
+  struct Leg {
+    Cycle halt;
+    std::uint32_t halt_threads;
+    std::uint32_t resume_threads;
+  };
+  const Leg legs[] = {{37, 1, 4}, {37, 4, 3}, {80, 1, 4}, {80, 4, 3}};
+  for (const bool fabric : {true, false}) {
+    for (const Leg& leg : legs) {
+      const std::string at = std::string(fabric ? "steered" : "planned") +
+                             " halt=" + std::to_string(leg.halt) +
+                             " threads " + std::to_string(leg.halt_threads) +
+                             "->" + std::to_string(leg.resume_threads);
+      const std::string path = tmp_path("golden_link_conflict");
+      remove_generations(path);
+      GcSimSpec spec = golden_spec(GoldenCell::kLinkConflict, fabric);
+      spec.sim.threads = leg.halt_threads;
+      spec.sim.checkpoint_path = path;
+      spec.sim.halt_at_cycle = leg.halt;
+      ASSERT_EQ(run_gc_simulation(spec).metrics.interrupted_at, leg.halt)
+          << at;
+      // Non-vacuity: some queue holds more packets than one service can
+      // move, so the resumed run starts with blocked heads.
+      std::size_t deepest = 0;
+      for (const auto& queue : load_checkpoint(path).queues) {
+        deepest = std::max(deepest, queue.size());
+      }
+      EXPECT_GT(deepest, std::size_t{spec.sim.service_rate}) << at;
+      spec.sim.threads = leg.resume_threads;
+      spec.sim.checkpoint_path.clear();
+      spec.sim.halt_at_cycle = 0;
+      spec.sim.resume_from = path;
+      const SimMetrics resumed = run_gc_simulation(spec).metrics;
+      EXPECT_EQ(resumed.interrupted_at, 0u) << at;
+      EXPECT_EQ(metrics_digest(resumed), kLinkConflictDigest)
+          << at << ": digest 0x" << std::hex << metrics_digest(resumed);
+      remove_generations(path);
     }
   }
 }

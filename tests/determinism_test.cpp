@@ -13,21 +13,22 @@
 // job. Both execution modes are covered: the default next-hop-fabric +
 // active-set loop, and the legacy full-scan path. The whole matrix runs
 // on the fused cycle loop (one dispatch per run, barrier_serial commits,
-// parity-double-buffered rings, batched drains) — so every case is also
-// a regression test that fusing the phases changed nothing observable.
-// The BatchedAdvanceEqualsScalar* cases additionally pin the batched
-// word-at-a-time advance to the scalar per-node scan bit-for-bit, across
-// steered and planned traffic, static and scheduled faults, finite
-// buffers, and thread counts {1, 2, 4}. The SimdLevelsEqualScalar* cases
-// sweep every SIMD dispatch level the CPU supports (scalar, SSE4.2, AVX2)
-// against the scalar threads=1 reference over the same axes — the
-// vectorized classify / fabric-lookup / counter-RNG kernels batch pure
+// parity-double-buffered boxes, one counting sort per shard and cycle) —
+// so every case is also a regression test that fusing the phases changed
+// nothing observable.
+// The SimdLevelsEqualScalar* cases sweep every SIMD dispatch level the CPU
+// supports (scalar, SSE4.2, AVX2) against the scalar threads=1 reference
+// across steered and planned traffic, static and scheduled faults, and
+// thread counts {1, 2, 4} — the vectorized counter-RNG kernels batch pure
 // integer functions, so every level must reproduce the metrics exactly.
 // The GoldenDigest cases pin absolute behaviour: fixed GC(10,4) cells
 // (deep queues, same-cycle link conflicts, a buffer limit, node faults,
-// retry recovery, static faults, and a low-rate run over two laps of the
-// injection fire wheel; steered and planned) must hash to committed
-// digests at threads 1 and 4, so a change to the queue, link-reservation
+// retry recovery, static faults, a low-rate run over two laps of the
+// injection fire wheel, the per-cycle Bernoulli scan feeding deep queues,
+// and a finite buffer over deep queues; steered and planned) must hash to
+// committed digests at threads 1, 3 and 4 — three shards split the nodes
+// unevenly, so arrivals from a shard's own nodes and from its neighbours
+// interleave in every queue — and a change to the queue, link-reservation
 // or injection-wheel layout cannot move any metric.
 //
 // Cache counters (SimMetrics::plan_cache / hop_cache) are deliberately NOT
@@ -44,6 +45,8 @@
 #include "sim/runner.hpp"
 #include "topology/gaussian_cube.hpp"
 #include "util/simd.hpp"
+
+#include "golden_cells.hpp"
 
 namespace gcube {
 namespace {
@@ -104,33 +107,6 @@ void expect_thread_invariant(GcSimSpec spec, const std::string& label) {
   }
 }
 
-/// The batched word-at-a-time advance must be BIT-IDENTICAL to the scalar
-/// active-set scan — a stronger property than the active_set toggle (which
-/// legitimately changes injection draw-stream layout): batching only
-/// reorders reads, never decisions. Compares every batch on/off × thread
-/// count combination against one scalar threads=1 reference.
-void expect_batch_invariant(GcSimSpec spec, const std::string& label) {
-  spec.sim.batch = false;
-  spec.sim.threads = 1;
-  const GcSimOutcome scalar = run_gc_simulation(spec);
-  ASSERT_GT(scalar.metrics.generated, 0u) << label << ": inert workload";
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    spec.sim.threads = threads;
-    spec.sim.batch = true;
-    const GcSimOutcome batched = run_gc_simulation(spec);
-    expect_identical(batched.metrics, scalar.metrics,
-                     label + " batched threads=" + std::to_string(threads) +
-                         " vs scalar threads=1");
-    if (threads != 1) {
-      spec.sim.batch = false;
-      const GcSimOutcome off = run_gc_simulation(spec);
-      expect_identical(off.metrics, scalar.metrics,
-                       label + " scalar threads=" + std::to_string(threads) +
-                           " vs scalar threads=1");
-    }
-  }
-}
-
 /// Pins the process-wide SIMD dispatch level for one scope and restores
 /// the entry level on exit, so a failing cell cannot poison later tests.
 class ScopedSimdLevel {
@@ -160,11 +136,11 @@ std::vector<SimdLevel> simd_matrix() {
   return levels;
 }
 
-/// The SIMD kernels (classify, fabric lookup, counter-RNG batch) must be
-/// BIT-IDENTICAL to the scalar reference at every dispatch level and
-/// thread count: they batch pure integer functions, so vectorization may
-/// reorder reads but never change a decision. One scalar threads=1
-/// reference, then every available level × {1, 2, 4} threads against it.
+/// The SIMD kernels (counter-RNG batches) must be BIT-IDENTICAL to the
+/// scalar reference at every dispatch level and thread count: they batch
+/// pure integer functions, so vectorization may reorder reads but never
+/// change a decision. One scalar threads=1 reference, then every available
+/// level × {1, 2, 4} threads against it.
 void expect_simd_invariant(GcSimSpec spec, const std::string& label) {
   spec.sim.threads = 1;
   GcSimOutcome reference;
@@ -297,46 +273,6 @@ TEST(Determinism, FiniteBuffersWithScheduledFaultsIsThreadInvariant) {
   expect_thread_invariant(spec, "GC(8,2) finite buffers + schedule");
 }
 
-TEST(Determinism, BatchedAdvanceEqualsScalarSteeredStatic) {
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 5;
-  expect_batch_invariant(spec, "GC(8,2) steered static");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarSteeredScheduled) {
-  GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
-  expect_batch_invariant(spec, "GC(8,2) steered scheduled");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarPlannedStatic) {
-  // fabric off = plan-at-injection packets: the batched classify sees no
-  // steered fast path, so this pins the arrival-detection and full-path
-  // hint plumbing instead.
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 5;
-  spec.sim.fabric = false;
-  expect_batch_invariant(spec, "GC(8,2) planned static");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarPlannedScheduled) {
-  GcSimSpec spec = base_spec(8, 2);
-  spec.schedule = scheduled_faults(spec);
-  spec.sim.fabric = false;
-  expect_batch_invariant(spec, "GC(8,2) planned scheduled");
-}
-
-TEST(Determinism, BatchedAdvanceEqualsScalarFiniteBuffers) {
-  // Finite buffers disable on-the-spot retirement in the batched pass
-  // (and its depth-1 inline apply); backpressure decisions must still
-  // match the scalar scan exactly.
-  GcSimSpec spec = base_spec(8, 2);
-  spec.faulty_nodes = 3;
-  spec.sim.injection_rate = 0.20;
-  spec.sim.buffer_limit = 3;
-  expect_batch_invariant(spec, "GC(8,2) finite buffers");
-}
-
 TEST(Determinism, SimdLevelsEqualScalarSteeredStatic) {
   GcSimSpec spec = base_spec(8, 2);
   spec.faulty_nodes = 5;
@@ -350,9 +286,8 @@ TEST(Determinism, SimdLevelsEqualScalarSteeredScheduled) {
 }
 
 TEST(Determinism, SimdLevelsEqualScalarPlannedStatic) {
-  // fabric off = plan-at-injection packets: the vector classify sees no
-  // steered fast path, so this cell pins the arrival-predicate lanes and
-  // the batched injection keying instead of the gathered table lookups.
+  // fabric off = plan-at-injection packets: this cell pins the batched
+  // injection keying on planned traffic.
   GcSimSpec spec = base_spec(8, 2);
   spec.faulty_nodes = 5;
   spec.sim.fabric = false;
@@ -378,132 +313,15 @@ TEST(Determinism, SimdLevelsEqualScalarBernoulliScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden digests: behaviour pinned by data, not by a second implementation.
-// Each cell's deterministic metrics hash to a committed constant at threads
-// 1 and 4, so a refactor of the queue, link-reservation or injection-wheel
-// layout has to reproduce the exact trajectory. The digest is the FNV-1a
-// hash perfbench prints as metrics_digest (same fields, same order).
+// Golden digests (cells in golden_cells.hpp): every cell must hash to its
+// committed digest at threads 1, 3 and 4.
 // ---------------------------------------------------------------------------
-
-std::uint64_t metrics_digest(const SimMetrics& m) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const std::uint64_t v :
-       {m.measured_cycles, m.generated, m.delivered, m.carryover_delivered,
-        m.dropped, m.total_latency, m.total_hops, m.service_ops,
-        m.peak_in_flight, m.injections_blocked, m.stalled_cycles,
-        std::uint64_t{m.deadlocked}, m.fault_events, m.repairs_applied,
-        m.reroutes, m.dropped_no_route, m.dropped_hop_limit,
-        m.orphaned_by_node_fault, m.parked_retries, m.retransmits, m.gave_up,
-        m.in_flight_at_end}) {
-    mix(v);
-  }
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    mix(m.latency_histogram.bucket(i));
-  }
-  return h;
-}
-
-enum class GoldenCell {
-  kDeepQueue,
-  kLinkConflict,
-  kBuffer2,
-  kNodeFault,
-  kRetry,
-  kStaticFaults,
-  kLongHorizon,
-};
-
-const char* to_string(GoldenCell cell) {
-  switch (cell) {
-    case GoldenCell::kDeepQueue: return "deep-queue";
-    case GoldenCell::kLinkConflict: return "link-conflict";
-    case GoldenCell::kBuffer2: return "buffer-2";
-    case GoldenCell::kNodeFault: return "node-fault";
-    case GoldenCell::kRetry: return "retry";
-    case GoldenCell::kStaticFaults: return "static-faults";
-    case GoldenCell::kLongHorizon: return "long-horizon";
-  }
-  return "?";
-}
-
-GcSimSpec golden_spec(GoldenCell cell, bool fabric) {
-  GcSimSpec spec = base_spec(10, 4);
-  spec.sim.fabric = fabric;
-  spec.sim.warmup_cycles = 20;
-  spec.sim.measure_cycles = 120;
-  const GaussianCube gc(spec.n, spec.modulus);
-  const NodeId nodes = static_cast<NodeId>(gc.node_count());
-  switch (cell) {
-    case GoldenCell::kDeepQueue:
-      // One service per node per cycle against ~2 arrivals: queues grow
-      // for the whole run.
-      spec.sim.injection_rate = 0.3;
-      spec.sim.service_rate = 1;
-      break;
-    case GoldenCell::kLinkConflict:
-      // Several services per cycle over deep queues: packets behind the
-      // front contend for a link the front already took this cycle.
-      spec.sim.injection_rate = 0.3;
-      break;
-    case GoldenCell::kBuffer2:
-      spec.sim.injection_rate = 0.03;
-      spec.sim.buffer_limit = 2;
-      break;
-    case GoldenCell::kNodeFault:
-      spec.sim.injection_rate = 0.2;
-      spec.schedule.fail_node_at(15, nodes / 3);
-      spec.schedule.fail_node_at(40, nodes / 2 + 5);
-      spec.schedule.fail_node_at(90, 2 * nodes / 3);
-      break;
-    case GoldenCell::kRetry:
-      spec.sim.injection_rate = 0.1;
-      // Two nodes cut off for 50 cycles: traffic to them strands and parks
-      // until the links heal.
-      for (const NodeId v : {nodes / 4, nodes / 2 + 3}) {
-        for (Dim c = 0; c < spec.n; ++c) {
-          if (gc.has_link(v, c)) spec.schedule.fail_link_at(25, v, c);
-        }
-        for (Dim c = 0; c < spec.n; ++c) {
-          if (gc.has_link(v, c)) spec.schedule.repair_link_at(75, v, c);
-        }
-      }
-      spec.sim.retry_limit = 4;
-      spec.sim.retry_backoff_base = 2;
-      spec.sim.retry_budget = 2;
-      break;
-    case GoldenCell::kStaticFaults:
-      // Precondition-checked faults fixed before cycle 0: steered packets
-      // adopt router plans at fault-adjacent nodes, planned ones route
-      // around the faults from injection.
-      spec.faulty_nodes = 8;
-      spec.sim.injection_rate = 0.1;
-      break;
-    case GoldenCell::kLongHorizon:
-      // More than two laps of the injection fire wheel (kWheelSize = 8192
-      // cycles) at a rate where gaps outrun it: P(gap >= 8192) =
-      // (1 - 0.0002)^8192 ~ 0.19, so ~200 of the 1024 nodes file their
-      // first fire in the far heap, and later draws keep feeding it. The
-      // cell pins wheel wrap-around and far-heap stragglers joining a
-      // bucket that already holds wheel fires.
-      spec.sim.injection_rate = 0.0002;
-      spec.sim.warmup_cycles = 200;
-      spec.sim.measure_cycles = 16600;
-      break;
-  }
-  return spec;
-}
 
 void expect_golden(GoldenCell cell, bool fabric, std::uint64_t want) {
   const std::string label = std::string(to_string(cell)) +
                             (fabric ? " steered" : " planned");
   GcSimSpec spec = golden_spec(cell, fabric);
-  for (const std::uint32_t threads : {1u, 4u}) {
+  for (const std::uint32_t threads : {1u, 3u, 4u}) {
     spec.sim.threads = threads;
     const GcSimOutcome outcome = run_gc_simulation(spec);
     const SimMetrics& m = outcome.metrics;
@@ -512,13 +330,14 @@ void expect_golden(GoldenCell cell, bool fabric, std::uint64_t want) {
         << at << ": digest 0x" << std::hex << metrics_digest(m);
     // Non-vacuity: each cell must actually reach the path it pins.
     ASSERT_GT(m.delivered, 0u) << at;
-    if (cell == GoldenCell::kDeepQueue || cell == GoldenCell::kLinkConflict) {
+    if (cell == GoldenCell::kDeepQueue || cell == GoldenCell::kLinkConflict ||
+        cell == GoldenCell::kLegacyScan || cell == GoldenCell::kDeepBuffer) {
       const double queueing =
           static_cast<double>(m.total_latency - m.total_hops) /
           static_cast<double>(m.delivered);
       EXPECT_GE(queueing, 1.0) << at << ": queues never got deep";
     }
-    if (cell == GoldenCell::kBuffer2) {
+    if (cell == GoldenCell::kBuffer2 || cell == GoldenCell::kDeepBuffer) {
       EXPECT_GT(m.injections_blocked, 0u) << at;
     }
     if (cell == GoldenCell::kNodeFault) {
@@ -578,6 +397,19 @@ TEST(GoldenDigest, LongHorizonSteered) {
 }
 TEST(GoldenDigest, LongHorizonPlanned) {
   expect_golden(GoldenCell::kLongHorizon, false, 0x7a300ed0efa3322cULL);
+}
+
+TEST(GoldenDigest, LegacyScanSteered) {
+  expect_golden(GoldenCell::kLegacyScan, true, 0x4098a8fe6714d26eULL);
+}
+TEST(GoldenDigest, LegacyScanPlanned) {
+  expect_golden(GoldenCell::kLegacyScan, false, 0x4098a8fe6714d26eULL);
+}
+TEST(GoldenDigest, DeepBufferSteered) {
+  expect_golden(GoldenCell::kDeepBuffer, true, 0x85fabc1458630f44ULL);
+}
+TEST(GoldenDigest, DeepBufferPlanned) {
+  expect_golden(GoldenCell::kDeepBuffer, false, 0x85fabc1458630f44ULL);
 }
 
 TEST(Determinism, RepeatedRunsOfOneSimulatorAgree) {

@@ -2,11 +2,14 @@
 // N(k)/t_k closed form, and the T(GC) tolerance bound (Figure 4).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <stdexcept>
 
 #include "fault/categorize.hpp"
 #include "fault/fault_set.hpp"
+#include "fault/overlay.hpp"
 #include "fault/tolerance_bound.hpp"
+#include "topology/exchanged_hypercube.hpp"
 #include "topology/gaussian_cube.hpp"
 
 namespace gcube {
@@ -279,6 +282,32 @@ TEST(ToleranceBound, Log2Helper) {
 
 TEST(ToleranceBound, RejectsInvalidParameters) {
   EXPECT_THROW((void)max_tolerable_faults(3, 4), std::invalid_argument);
+}
+
+TEST(FaultOverlay, FullMasksMatchAHasLinkSweep) {
+  // attach builds the masks from Topology::link_mask (GaussianCube's
+  // 2^alpha table, the has_link loop elsewhere) and the clean bitmap with
+  // word fills; both must agree with a per-dimension has_link sweep. GC(3,2)
+  // has 8 nodes, so its clean bitmap ends mid-word.
+  const GaussianCube gc10(10, 4);
+  const GaussianCube gc12(12, 8);
+  const GaussianCube gc3(3, 2);
+  const ExchangedHypercube eh(3, 4);
+  for (const Topology* topo :
+       std::initializer_list<const Topology*>{&gc10, &gc12, &gc3, &eh}) {
+    FaultOverlay overlay;
+    overlay.attach(*topo);
+    overlay.refresh(FaultSet{});
+    for (NodeId u = 0; u < topo->node_count(); ++u) {
+      std::uint32_t sweep = 0;
+      for (Dim c = 0; c < topo->dims(); ++c) {
+        if (topo->has_link(u, c)) sweep |= std::uint32_t{1} << c;
+      }
+      ASSERT_EQ(overlay.full_mask(u), sweep) << topo->name() << " node " << u;
+      ASSERT_EQ(overlay.usable_mask(u), sweep) << topo->name() << " node " << u;
+      ASSERT_TRUE(overlay.node_clean(u)) << topo->name() << " node " << u;
+    }
+  }
 }
 
 }  // namespace

@@ -99,6 +99,65 @@ TEST(NetworkSim, DeterministicForFixedSeed) {
   EXPECT_EQ(a.total_hops, b.total_hops);
 }
 
+TEST(NetworkSim, RerouteHopLimitBeyondTheRecordHopFieldIsRefused) {
+  // Packet records count hops in 16 bits and the livelock guard bounds
+  // every online-routed packet's count, so the guard must fit them.
+  const GaussianCube gc(7, 2);
+  const FfgcrRouter router(gc);
+  const FaultSet none;
+  SimConfig cfg = quick_config();
+  cfg.reroute_hop_limit = 65536;
+  try {
+    NetworkSim sim(gc, router, none, cfg);
+    FAIL() << "a hop limit above 65535 must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65535"), std::string::npos)
+        << e.what();
+  }
+  cfg.reroute_hop_limit = 65535;
+  EXPECT_NO_THROW(NetworkSim(gc, router, none, cfg));
+}
+
+/// A router whose every plan is `length` hops along dimension 0 (a route
+/// that never arrives, which only matters to the hop-count bound).
+class LongPlanRouter final : public Router {
+ public:
+  explicit LongPlanRouter(std::size_t length) : length_(length) {}
+  [[nodiscard]] RoutingResult plan(NodeId s, NodeId) const override {
+    RoutingResult r;
+    r.route = Route(s, std::vector<Dim>(length_, 0));
+    return r;
+  }
+  [[nodiscard]] std::string name() const override { return "long-plan"; }
+
+ private:
+  std::size_t length_;
+};
+
+TEST(NetworkSim, RouterPlanBeyondTheRecordHopFieldIsRefused) {
+  // A planned packet's hop count runs up to its plan's length: a plan of
+  // 65536 hops is refused by name at injection instead of wrapping the
+  // record's 16-bit count; 65535 hops still fit.
+  const Hypercube cube(4);
+  const FaultSet none;
+  SimConfig cfg = quick_config();
+  cfg.injection_rate = 0.5;
+  cfg.warmup_cycles = 0;
+  cfg.measure_cycles = 3;
+  cfg.threads = 1;
+  const LongPlanRouter too_long(65536);
+  try {
+    (void)NetworkSim(cube, too_long, none, cfg).run();
+    FAIL() << "a 65536-hop plan must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("65535 hops"), std::string::npos)
+        << e.what();
+  }
+  const LongPlanRouter longest(65535);
+  const SimMetrics m = NetworkSim(cube, longest, none, cfg).run();
+  EXPECT_GT(m.generated, 0u);
+}
+
 TEST(NetworkSim, RunBeyondTheFireKeyCycleRangeIsRefused) {
   // Far-heap injection fires are keyed (cycle << 26) | node, so a run of
   // 2^38 cycles or more is refused when the simulator is built, before any
@@ -506,9 +565,11 @@ TEST(NetworkSim, AuditedReplayRidesEverySimdLevel) {
 
 TEST(NetworkSim, AuditSamplingAndBatchingLeaveMetricsUnchanged) {
   // total_hops is fed by the per-packet hop counter, not the audit tail,
-  // and the batched advance only reorders reads — so toggling batching
-  // must reproduce the whole metrics block bit-for-bit, total_hops
-  // included, under the same rerouting workload as the replay test.
+  // and how a cycle's records are batched — one sorted array per shard,
+  // departures boxed per destination shard — only changes where records
+  // live: one shard and three must reproduce the whole metrics block
+  // bit-for-bit, total_hops included, under the same rerouting workload
+  // as the replay test.
   const GaussianCube gc(7, 2);
   FaultSet faults_a;
   FaultSet faults_b;
@@ -518,13 +579,14 @@ TEST(NetworkSim, AuditSamplingAndBatchingLeaveMetricsUnchanged) {
       FaultSchedule::random_node_faults(gc.node_count(), 0.01, 350, 21, 12);
   SimConfig cfg = quick_config();
   cfg.injection_rate = 0.08;
-  const SimMetrics batched =
-      NetworkSim(gc, router_a, faults_a, cfg, schedule).run();
-  cfg.batch = false;
-  const SimMetrics scalar =
+  cfg.allow_oversubscribe = true;
+  cfg.threads = 1;
+  const SimMetrics one = NetworkSim(gc, router_a, faults_a, cfg, schedule).run();
+  cfg.threads = 3;
+  const SimMetrics three =
       NetworkSim(gc, router_b, faults_b, cfg, schedule).run();
-  EXPECT_EQ(batched.total_hops, scalar.total_hops);
-  EXPECT_TRUE(batched.deterministic_equals(scalar));
+  EXPECT_EQ(one.total_hops, three.total_hops);
+  EXPECT_TRUE(one.deterministic_equals(three));
 }
 
 TEST(DynamicFaults, FtgcrDegradesMoreGracefullyThanEcube) {

@@ -14,10 +14,7 @@
 //    float-compare-to-integer-compare rewrite is easiest to get wrong;
 //  * NextHopFabric::fault_free_hops — gathered table lookups vs the
 //    scalar per-element hop, across shapes with alpha 1..3 (both the
-//    pending-dimension branch and the folded tree-edge branch);
-//  * classify_front_packets — the 8/4-record transpose + predicate masks
-//    over adversarial flag/hops/clean combinations, every count 0..64 so
-//    each vector-body/scalar-tail split is exercised.
+//    pending-dimension branch and the folded tree-edge branch).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,8 +23,6 @@
 #include <vector>
 
 #include "routing/next_hop_table.hpp"
-#include "sim/advance_simd.hpp"
-#include "sim/packet.hpp"
 #include "topology/gaussian_cube.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -126,49 +121,6 @@ TEST(SimdKernels, FaultFreeHopsMatchScalarPerElement) {
       fabric.fault_free_hops(level, cur.size(), cur.data(), dst.data(),
                              got.data());
       EXPECT_EQ(got, want) << gc.name() << " level " << to_string(level);
-    }
-  }
-}
-
-TEST(SimdKernels, ClassifyFrontPacketsMatchesScalar) {
-  // Adversarial randomized records: flags span every steered/adaptive/
-  // planned/audited combination, hops sit on both sides of the limit
-  // (including equal), dst/plan_len hit the arrival predicates, and the
-  // clean window is a fresh random 64-bit mask per trial.
-  Xoshiro256 rng(47);
-  const std::uint32_t hop_limit = 40;
-  const NodeId base = 128;
-  for (int trial = 0; trial < 32; ++trial) {
-    const std::uint64_t clean = rng();
-    const auto count = static_cast<unsigned>(rng.below(65));
-    std::vector<PacketHot> records(count);
-    std::vector<const PacketHot*> hot(count);
-    std::vector<NodeId> nodes(count);
-    for (unsigned i = 0; i < count; ++i) {
-      PacketHot& h = records[i];
-      nodes[i] = base + i;  // one packet per node slot, like the harvest
-      h.flags = static_cast<std::uint32_t>(rng.below(16));
-      h.hops = static_cast<std::uint32_t>(rng.below(2 * hop_limit + 2));
-      h.plan_len = (rng.below(3) == 0)
-                       ? h.hops  // force the planned-arrival predicate
-                       : static_cast<std::uint32_t>(rng.below(64));
-      h.dst = (rng.below(3) == 0)
-                  ? nodes[i]  // force the positional-arrival predicate
-                  : static_cast<NodeId>(rng.below(1u << 20));
-      hot[i] = &records[i];
-    }
-    const ClassifyMasks want =
-        classify_front_packets(SimdLevel::kScalar, count, hot.data(),
-                               nodes.data(), base, clean, hop_limit);
-    for (const SimdLevel level : available_levels()) {
-      const ClassifyMasks got = classify_front_packets(
-          level, count, hot.data(), nodes.data(), base, clean, hop_limit);
-      EXPECT_EQ(got.arrived, want.arrived)
-          << "trial " << trial << " count " << count << " level "
-          << to_string(level);
-      EXPECT_EQ(got.fast, want.fast)
-          << "trial " << trial << " count " << count << " level "
-          << to_string(level);
     }
   }
 }
